@@ -1,7 +1,7 @@
 //! Parallel scaling of the random-walk search: a fixed execution budget
 //! split across 1, 2, and 4 seed-sharded workers on bug-free subjects.
-//! Not a paper artifact — it validates the `ParallelExplorer` extension
-//! (DESIGN.md). Set `SCALING_EXECUTIONS` to change the budget
+//! Not a paper artifact — it validates the `ShardRunner` extension
+//! (DESIGN.md §7). Set `SCALING_EXECUTIONS` to change the budget
 //! (default 20000 executions per cell).
 
 use chess_bench::{persist, scaling, TextTable, ToJson};

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use chess_core::strategy::{ContextBounded, Dfs, Strategy};
-use chess_core::{Config, Explorer, ParallelExplorer, SearchOutcome};
+use chess_core::{Config, Explorer, Search, SearchOutcome, ShardRunner};
 use chess_kernel::{Capture, Kernel, ThreadId};
 use chess_state::{preemption_bounded_states, CoverageTracker, StateGraph, StatefulLimits};
 use chess_workloads::channels::{fifo_pipeline, ChannelBug, FifoConfig};
@@ -773,7 +773,8 @@ pub fn scaling(executions_per_cell: u64, jobs_axis: &[usize]) -> Vec<ScalingRow>
         let mut rows: Vec<ScalingRow> = jobs_axis
             .iter()
             .map(|&jobs| {
-                let report = ParallelExplorer::new(factory, config.clone(), jobs).run_random(42);
+                let report =
+                    ShardRunner::new(factory, config.clone(), Search::Random(42)).run_shards(jobs);
                 ScalingRow {
                     workload: name.to_string(),
                     jobs,

@@ -59,11 +59,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error, or of trailing garbage after the document.
+    /// error, of trailing garbage after the document, or of an array or
+    /// object nested deeper than [`MAX_DEPTH`] (the parser recurses per
+    /// level, so unbounded nesting would overflow the stack).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -172,11 +175,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Far beyond any
+/// document this workspace writes, and shallow enough that the
+/// recursive parser cannot overflow even a small thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over raw bytes (strings are validated
 /// UTF-8 by construction: input is `&str` and escapes decode to chars).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -218,8 +228,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -620,6 +644,20 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("troo").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Far deeper input is rejected at the cap, not by the stack.
+        let err = Json::parse(&"[{\"a\": ".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 
     #[test]

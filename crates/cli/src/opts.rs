@@ -60,7 +60,8 @@ USAGE:
         and re-answers finished ones byte-for-byte. Check jobs may
         declare \"shards\": K to fan out across the pool; shard reports
         are merged so the campaign report equals the unsharded run
-        (byte-identically for dfs, deterministically for random:<seed>).
+        (byte-identically for dfs and cb:<N>, reduced or not;
+        deterministically for random:<seed>).
 
     fair-chess submit <manifest.json> --connect <addr> [--watch]
         Submit a campaign manifest to a daemon. Prints the campaign id
@@ -119,20 +120,22 @@ OPTIONS:
     --time-budget <SECS>  Wall-clock budget [default: 60 when no
                           execution budget is given either].
     --k <N>               Fairness k parameter (process every k-th yield).
-    --jobs <N>            Parallel search workers [default: 1]. Shards the
-                          strategy: random seeds per worker, DFS subtrees,
-                          or context bounds (cb:<B> runs bounds 0..=B).
-                          First error wins; its schedule is verified to
-                          replay deterministically. `check` only.
+    --jobs <N>            Run the N shards --shard 0/N .. N-1/N on threads
+                          and merge them [default: 1]. For dfs and cb:<N>,
+                          with or without --reduce, the report equals the
+                          --jobs 1 report; the execution budget applies
+                          per shard. Random walks run seed + i with the
+                          execution budget split across shards. Every
+                          reported error is verified to replay
+                          deterministically. `check` only.
     --shard <I/K>         Run shard I of K (0 <= I < K): this process
                           covers its contiguous slice of the root
-                          decision frontier (dfs) or its slice of the
-                          seed/budget split (random:<seed>), so K
-                          cooperating processes cover the space. dfs
-                          shard reports merge byte-identically to the
-                          sequential run. Requires --jobs 1; not
-                          combinable with cb:<N>, --reduce, --db, or
-                          --checkpoint/--resume. `check` only.
+                          decision frontier (dfs, cb:<N>) or its slice of
+                          the seed/budget split (random:<seed>), so K
+                          cooperating processes cover the space. dfs and
+                          cb:<N> shard reports merge to the sequential
+                          report. Requires --jobs 1; not combinable with
+                          --db or --checkpoint/--resume. `check` only.
     --no-trace            Do not print the counterexample trace.
     --checkpoint <FILE>   Periodically persist the search frontier, RNG
                           state, and cumulative statistics to FILE
@@ -627,26 +630,12 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, ParseError> {
         if opts.checkpoint.is_some() || opts.resume.is_some() {
             return err("--shard cannot be combined with --checkpoint/--resume");
         }
-        if opts.reduce {
-            return err(
-                "--shard cannot be combined with --reduce (sleep sets depend on the \
-                 whole exploration order, so shard reports would not merge to the \
-                 unsharded one)",
-            );
-        }
-        if opts.db.is_some() {
-            return err(
-                "--shard cannot be combined with --db (the horizon's random \
-                        tail is sequential-only)",
-            );
-        }
-        if matches!(opts.strategy, StrategyOpt::Cb(_)) {
-            return err(
-                "--shard needs --strategy dfs or random:<seed> (context-bound state \
-                 is path-dependent, so root slices would not merge to the sequential \
-                 report)",
-            );
-        }
+    }
+    if opts.db.is_some() && (opts.shard.is_some() || opts.jobs > 1) {
+        return err(
+            "--db cannot be combined with --shard or --jobs > 1 (the horizon's random \
+             tail is sequential-only)",
+        );
     }
     Ok(opts)
 }
@@ -1312,28 +1301,23 @@ mod tests {
         assert!(parse(&s(&["check", "counter", "--shard", "3"])).is_err());
         assert!(parse(&s(&["check", "counter", "--shard", "4/4"])).is_err());
         assert!(parse(&s(&["check", "counter", "--shard", "0/0"])).is_err());
-        // Incompatible combinations: the shard merge is only defined for
-        // plain dfs and seed-split random walks.
+        // Incompatible combinations: one process per shard, and the
+        // horizon's random tail is sequential-only.
         assert!(parse(&s(&["check", "counter", "--shard", "0/2", "--jobs", "2"])).is_err());
         assert!(parse(&s(&["check", "counter", "--shard", "0/2", "--db", "4"])).is_err());
-        assert!(parse(&s(&[
-            "check",
-            "counter",
-            "--shard",
-            "0/2",
-            "--reduce",
-            "sleep-sets"
-        ]))
-        .is_err());
+        assert!(parse(&s(&["check", "counter", "--jobs", "2", "--db", "4"])).is_err());
+        // Every systematic search shards, reduced or not.
         assert!(parse(&s(&[
             "check",
             "counter",
             "--shard",
             "0/2",
             "--strategy",
-            "cb:2"
+            "cb:2",
+            "--reduce",
+            "sleep-sets"
         ]))
-        .is_err());
+        .is_ok());
         assert!(parse(&s(&[
             "check",
             "counter",

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use chess_bench::{checkpoint_from_json, checkpoint_to_json, read_journal, JournalWriter, Json};
 use chess_core::strategy::{ContextBounded, Dfs, RandomWalk, Strategy};
 use chess_core::{
-    BudgetKind, Config, Explorer, ParallelExplorer, Progress, SearchOutcome, SearchReport,
-    SearchStats, ShardSpec,
+    BudgetKind, Config, Explorer, Progress, Reduction, Search, SearchOutcome, SearchReport,
+    SearchStats, ShardRunner, ShardSpec,
 };
 use chess_kernel::{Capture, Kernel};
 use chess_state::{CoverageTracker, StateGraph, StatefulError, StatefulLimits};
@@ -235,8 +235,9 @@ fn deterministic_report_line(report: &SearchReport) -> String {
     report.deterministic_line()
 }
 
-/// The visitor behind [`run_check_job`]: a plain sequential search with
-/// live progress publication and a structured result.
+/// The visitor behind [`run_check_job`]: one shard (the whole search
+/// unless the job names a slice) with live progress publication and a
+/// structured result.
 struct JobVisitor<'a> {
     o: &'a RunOpts,
     progress: &'a Arc<Progress>,
@@ -251,26 +252,12 @@ impl WorkloadVisitor for JobVisitor<'_> {
         F: Fn() -> Kernel<S> + Copy + Sync,
     {
         let o = self.o;
-        let mut report = match o.shard {
-            Some((index, of)) if of > 1 => {
-                let parallel = ParallelExplorer::new(factory, build_config(o), 1)
-                    .with_progress(Arc::clone(self.progress));
-                match o.strategy {
-                    StrategyOpt::Dfs => parallel.run_dfs_shard(ShardSpec { index, of }),
-                    StrategyOpt::Random(seed) => {
-                        parallel.run_random_shard(seed, ShardSpec { index, of })
-                    }
-                    StrategyOpt::Cb(_) => {
-                        // The option parser and the manifest expander both
-                        // reject this shape; a hand-built payload lands here.
-                        return Err("sharding needs strategy dfs or random:<seed>".to_string());
-                    }
-                }
-            }
-            _ => Explorer::new(factory, build_strategy(o), build_config(o))
-                .with_progress(Arc::clone(self.progress))
-                .run(),
-        };
+        let shard = o
+            .shard
+            .map_or(ShardSpec::WHOLE, |(index, of)| ShardSpec { index, of });
+        let mut report = ShardRunner::new(factory, build_config(o), search_of(o))
+            .with_progress(Arc::clone(self.progress))
+            .run_shard(shard);
         // Result payloads are journaled and compared byte-for-byte
         // across runs; the wall clock is the one nondeterministic stat.
         report.stats.wall = std::time::Duration::default();
@@ -314,6 +301,22 @@ fn build_strategy(o: &RunOpts) -> Box<dyn Strategy> {
     }
 }
 
+/// The search `check --jobs`/`--shard` and campaign jobs split. The
+/// parser rejects `--db` alongside sharding and `--reduce` alongside
+/// random walks.
+fn search_of(o: &RunOpts) -> Search {
+    let reduction = if o.reduce {
+        Reduction::SleepSets
+    } else {
+        Reduction::None
+    };
+    match o.strategy {
+        StrategyOpt::Dfs => Search::Dfs(reduction),
+        StrategyOpt::Cb(bound) => Search::Cb(bound, reduction),
+        StrategyOpt::Random(seed) => Search::Random(seed),
+    }
+}
+
 fn build_config(o: &RunOpts) -> Config {
     let mut config = if o.fair {
         Config::fair().with_fairness_k(o.k)
@@ -344,10 +347,8 @@ where
 {
     let stop = signal::install();
     let mut warnings: Vec<String> = Vec::new();
-    let run = if o.shard.is_some_and(|(_, of)| of > 1) {
-        check_shard(factory, o, stop)
-    } else if o.jobs > 1 {
-        check_parallel(factory, o, stop)
+    let run = if o.shard.is_some() || o.jobs > 1 {
+        Ok(check_sharded(factory, o, stop))
     } else {
         check_sequential(factory, o, stop, &mut warnings)
     };
@@ -570,70 +571,21 @@ fn strategy_label(o: &RunOpts) -> String {
     }
 }
 
-/// One shard of a cooperating `check`: this process covers its slice of
-/// the root decision frontier (dfs) or of the seed/budget split
-/// (`random:<seed>`). The printed report is mergeable: collect the K
-/// shard reports and `merge_contiguous_shards`/`merge_seed_shards`
-/// reproduce the unsharded result — which is exactly what the campaign
-/// daemon does with `"shards": K` jobs.
-fn check_shard<S, F>(factory: F, o: &RunOpts, stop: Arc<AtomicBool>) -> Result<SearchReport, String>
+/// Sharded `check`: `--shard I/K` runs slice I of K in this process,
+/// and `--jobs N` runs all N slices on threads and merges them — the
+/// same shards a campaign daemon runs for a `"shards": N` job. For `dfs`
+/// and `cb:<B>` the merged report is the sequential one (budgets apply
+/// per shard); random walks give shard i the seed + i and its share of
+/// the execution budget.
+fn check_sharded<S, F>(factory: F, o: &RunOpts, stop: Arc<AtomicBool>) -> SearchReport
 where
     S: Capture + Clone + 'static,
     F: Fn() -> Kernel<S> + Copy + Sync,
 {
-    let (index, of) = o.shard.expect("caller checked");
-    let parallel = ParallelExplorer::new(factory, build_config(o), 1).with_stop_flag(stop);
-    match o.strategy {
-        StrategyOpt::Dfs => Ok(parallel.run_dfs_shard(ShardSpec { index, of })),
-        StrategyOpt::Random(seed) => Ok(parallel.run_random_shard(seed, ShardSpec { index, of })),
-        StrategyOpt::Cb(_) => Err("--shard needs --strategy dfs or random:<seed>".into()),
-    }
-}
-
-/// Parallel `check`: shards the configured strategy across `--jobs`
-/// workers. `dfs` partitions the root decision frontier, `random:<seed>`
-/// shards seeds, and `cb:<B>` runs iterative context bounding with the
-/// bounds `0..=B` dealt across the workers.
-fn check_parallel<S, F>(
-    factory: F,
-    o: &RunOpts,
-    stop: Arc<AtomicBool>,
-) -> Result<SearchReport, String>
-where
-    S: Capture + Clone + 'static,
-    F: Fn() -> Kernel<S> + Copy + Sync,
-{
-    if o.db.is_some() {
-        return Err(
-            "--db is not supported with --jobs > 1 (the horizon's random tail \
-             is sequential-only)"
-                .into(),
-        );
-    }
-    let parallel = ParallelExplorer::new(factory, build_config(o), o.jobs).with_stop_flag(stop);
-    match o.strategy {
-        StrategyOpt::Dfs if o.reduce => Ok(parallel.run_dfs_with(chess_core::Reduction::SleepSets)),
-        StrategyOpt::Dfs => Ok(parallel.run_dfs()),
-        StrategyOpt::Random(seed) => Ok(parallel.run_random(seed)),
-        StrategyOpt::Cb(max_bound) => {
-            if o.reduce {
-                return Err(
-                    "--reduce with cb:<N> requires --jobs 1 (iterative parallel \
-                     context bounding has no reduced path)"
-                        .into(),
-                );
-            }
-            let reports = parallel.run_iterative_cb(max_bound);
-            for (bound, report) in &reports {
-                println!("cb={bound}: {report}");
-            }
-            reports
-                .iter()
-                .find(|(_, r)| r.outcome.found_error())
-                .or_else(|| reports.last())
-                .map(|(_, r)| r.clone())
-                .ok_or_else(|| "no context bound ran".to_string())
-        }
+    let runner = ShardRunner::new(factory, build_config(o), search_of(o)).with_stop_flag(stop);
+    match o.shard {
+        Some((index, of)) => runner.run_shard(ShardSpec { index, of }),
+        None => runner.run_shards(o.jobs),
     }
 }
 

@@ -27,7 +27,8 @@
 //! these lines, and their determinism is what makes a resumed campaign
 //! reprint byte-for-byte. A check job may carry `shard_index`/
 //! `shard_of` (written by the campaign layer's expansion of a
-//! `"shards": K` job) to run one slice of a dfs or random search.
+//! `"shards": K` job) to run one slice of the search. A field of the
+//! wrong type (`"reduce": "yes"`) is rejected, never ignored.
 //!
 //! # Chaos injection
 //!
@@ -102,49 +103,61 @@ fn job_kind(json: &Json) -> &str {
 /// and journaling belongs to the supervisor, so `jobs`, `checkpoint`,
 /// and `resume` stay at their defaults.
 fn check_opts_from_json(json: &Json) -> Result<RunOpts, String> {
+    // A present field of the wrong type is an error, never a silent
+    // fallback to the default.
+    fn field<'a, T>(
+        json: &'a Json,
+        key: &str,
+        want: &str,
+        get: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match json.get(key) {
+            None => Ok(None),
+            Some(v) => get(v)
+                .map(Some)
+                .ok_or_else(|| format!("check job field '{key}' must be {want}")),
+        }
+    }
+    let text = |key: &str| field(json, key, "a string", Json::as_str);
+    let flag = |key: &str| field(json, key, "a boolean", Json::as_bool);
+    let count = |key: &str| field(json, key, "a non-negative integer", Json::as_u64);
+
     let mut o = RunOpts {
-        workload: json
-            .get("workload")
-            .and_then(Json::as_str)
+        workload: text("workload")?
             .ok_or("check job has no 'workload'")?
             .to_string(),
-        bug: json.get("bug").and_then(Json::as_str).map(str::to_string),
+        bug: text("bug")?.map(str::to_string),
         trace: false,
         ..RunOpts::default()
     };
-    if let Some(m) = json.get("memory").and_then(Json::as_str) {
+    if let Some(m) = text("memory")? {
         o.memory = m.parse()?;
     }
-    if let Some(s) = json.get("strategy").and_then(Json::as_str) {
+    if let Some(s) = text("strategy")? {
         o.strategy = opts::parse_strategy(s).map_err(|e| e.0)?;
     }
-    if let Some(r) = json.get("reduce").and_then(Json::as_bool) {
+    if let Some(r) = flag("reduce")? {
         o.reduce = r;
     }
-    if let Some(v) = json.get("validate_effects").and_then(Json::as_bool) {
+    if let Some(v) = flag("validate_effects")? {
         o.validate_effects = v;
     }
-    if let Some(f) = json.get("fair").and_then(Json::as_bool) {
+    if let Some(f) = flag("fair")? {
         o.fair = f;
     }
-    if let Some(k) = json.get("k").and_then(Json::as_u64) {
+    if let Some(k) = count("k")? {
         o.k = k;
     }
-    if let Some(d) = json.get("depth_bound").and_then(Json::as_u64) {
+    if let Some(d) = count("depth_bound")? {
         o.depth_bound = d as usize;
     }
-    if let Some(n) = json.get("max_executions").and_then(Json::as_u64) {
-        o.max_executions = Some(n);
-    }
-    if let Some(ms) = json.get("time_budget_ms").and_then(Json::as_u64) {
+    o.max_executions = count("max_executions")?;
+    if let Some(ms) = count("time_budget_ms")? {
         o.time_budget = Some(Duration::from_millis(ms));
     }
     // shard_index/shard_of are what the campaign layer's expansion of a
     // `"shards": K` job writes into each shard payload.
-    match (
-        json.get("shard_index").and_then(Json::as_u64),
-        json.get("shard_of").and_then(Json::as_u64),
-    ) {
+    match (count("shard_index")?, count("shard_of")?) {
         (None, None) => {}
         (Some(index), Some(of)) if of >= 1 && index < of => {
             o.shard = Some((index as usize, of as usize));
@@ -155,15 +168,8 @@ fn check_opts_from_json(json: &Json) -> Result<RunOpts, String> {
             )
         }
     }
-    if o.shard.is_some_and(|(_, of)| of > 1) {
-        // Mirror the --shard flag's compatibility rules for hand-built
-        // payloads that bypassed the manifest expander.
-        if o.reduce {
-            return Err("a reduced search cannot shard".to_string());
-        }
-        if matches!(o.strategy, opts::StrategyOpt::Cb(_)) {
-            return Err("sharding needs strategy dfs or random:<seed>".to_string());
-        }
+    if o.reduce && matches!(o.strategy, opts::StrategyOpt::Random(_)) {
+        return Err("a reduced search needs strategy dfs or cb:<N>".to_string());
     }
     Ok(o)
 }
@@ -383,23 +389,40 @@ mod tests {
         let o = check_opts_from_json(&json).unwrap();
         assert_eq!(o.shard, Some((1, 3)));
 
-        // Half a shard spec, an out-of-range index, and unshardable
-        // strategies are all malformed payloads.
+        // Reduced and context-bounded searches shard like dfs.
+        let json = Json::parse(
+            r#"{"workload": "counter", "shard_index": 0, "shard_of": 2,
+                "strategy": "cb:2", "reduce": true}"#,
+        )
+        .unwrap();
+        assert_eq!(check_opts_from_json(&json).unwrap().shard, Some((0, 2)));
+
+        // Half a shard spec and an out-of-range index are malformed.
+        for bad in [
+            r#"{"workload": "counter", "shard_index": 0}"#,
+            r#"{"workload": "counter", "shard_index": 3, "shard_of": 3}"#,
+        ] {
+            let err = check_opts_from_json(&Json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains("together"), "{err:?}");
+        }
+    }
+
+    /// A field of the wrong type is rejected with its name and the type
+    /// it should have, instead of silently running with the default.
+    #[test]
+    fn fields_of_the_wrong_type_are_rejected() {
         for (bad, needle) in [
-            (r#"{"workload": "counter", "shard_index": 0}"#, "together"),
             (
-                r#"{"workload": "counter", "shard_index": 3, "shard_of": 3}"#,
-                "together",
+                r#"{"workload": "counter", "reduce": "yes"}"#,
+                "'reduce' must be a boolean",
             ),
             (
-                r#"{"workload": "counter", "shard_index": 0, "shard_of": 2,
-                    "strategy": "cb:2"}"#,
-                "dfs or random",
+                r#"{"workload": "counter", "max_executions": "100"}"#,
+                "'max_executions' must be a non-negative integer",
             ),
             (
-                r#"{"workload": "counter", "shard_index": 0, "shard_of": 2,
-                    "reduce": true}"#,
-                "reduced",
+                r#"{"workload": "counter", "strategy": 2}"#,
+                "'strategy' must be a string",
             ),
         ] {
             let err = check_opts_from_json(&Json::parse(bad).unwrap()).unwrap_err();

@@ -340,3 +340,46 @@ fn budgeted_unfair_baseline_runs() {
     // exhausts its budget without reporting an error.
     assert!(matches!(out.status.code(), Some(0) | Some(3)), "{out:?}");
 }
+
+/// `--jobs N` runs the N root-slice shards of the very search `--jobs 1`
+/// runs: the whole stdout — report line, counterexample trace, sleep-set
+/// savings — is the same, wall clock aside.
+#[test]
+fn jobs_print_the_same_report_as_one_job() {
+    let without_wall = |o: &Output| -> String {
+        stdout(o)
+            .lines()
+            .map(|l| match l.rsplit_once(" nonterminating, ") {
+                Some((head, _wall)) => head,
+                None => l,
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for workload in [&["boundedbuffer"][..], &["treiber", "--bug", "aba"]] {
+        for search in [
+            &["--strategy", "dfs"][..],
+            &["--strategy", "cb:2"],
+            &["--strategy", "cb:2", "--reduce", "sleep-sets"],
+        ] {
+            let run = |jobs: &str| {
+                let mut args = vec!["check"];
+                args.extend_from_slice(workload);
+                args.extend_from_slice(search);
+                args.extend_from_slice(&["--max-executions", "100000", "--jobs", jobs]);
+                fair_chess(&args)
+            };
+            let (one, three) = (run("1"), run("3"));
+            assert_eq!(
+                one.status.code(),
+                three.status.code(),
+                "{workload:?} {search:?}"
+            );
+            assert_eq!(
+                without_wall(&one),
+                without_wall(&three),
+                "{workload:?} {search:?}"
+            );
+        }
+    }
+}

@@ -332,3 +332,71 @@ fn bad_submissions_and_unknown_campaigns_are_structured_errors() {
     assert!(stderr(&out).contains("unknown campaign"), "{out:?}");
     daemon.shutdown();
 }
+
+/// Sends one raw protocol line on a fresh connection and returns the
+/// daemon's one-line reply.
+fn raw_exchange(sock: &str, line: &str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let mut conn = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    conn.write_all(line.as_bytes()).unwrap();
+    conn.write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(conn).read_line(&mut reply).unwrap();
+    reply
+}
+
+/// Context-bounded, sleep-set reduced searches shard like dfs: the
+/// merged verdict of a `"shards": 2` job is the unsharded one.
+#[test]
+fn sharded_cb_reduced_job_merges_to_the_unsharded_verdict() {
+    let dir = temp_dir("cb-shards");
+    let job = r#""id": "c", "workload": "wsq", "strategy": "cb:1", "reduce": true,
+                 "max_executions": 100000"#;
+    let sharded = write_manifest(
+        &dir,
+        "sharded.json",
+        &format!(r#"{{"jobs": [{{{job}, "shards": 2}}]}}"#),
+    );
+    let unsharded = write_manifest(
+        &dir,
+        "unsharded.json",
+        &format!(r#"{{"jobs": [{{{job}}}]}}"#),
+    );
+    let reference = fair_chess(&["serve", &unsharded, "--workers", "2"]);
+    assert_eq!(reference.status.code(), Some(0), "{reference:?}");
+
+    let daemon = Daemon::start(&dir, "store");
+    let submit = fair_chess(&["submit", &sharded, "--connect", &daemon.sock, "--watch"]);
+    assert_eq!(submit.status.code(), Some(0), "{submit:?}");
+    let campaign = campaign_of(&stdout(&submit));
+    let results = fair_chess(&["results", &campaign, "--connect", &daemon.sock]);
+    assert_eq!(stdout(&results), stdout(&reference));
+    assert!(stdout(&results).contains("1545 executions"), "{results:?}");
+    daemon.shutdown();
+}
+
+/// Hostile input over the socket: a manifest field of the wrong type is
+/// refused with a structured error naming it, and a line nested 100 000
+/// levels deep is answered instead of overflowing the daemon's stack —
+/// after both, a fresh connection still gets a normal status reply.
+#[test]
+fn wrongly_typed_and_deeply_nested_requests_get_structured_errors() {
+    let dir = temp_dir("hostile");
+    let daemon = Daemon::start(&dir, "store");
+    let reply = raw_exchange(
+        &daemon.sock,
+        r#"{"v": 1, "op": "submit", "manifest": {"jobs": [{"id": "x", "workload": "counter", "reduce": "yes"}]}}"#,
+    );
+    assert!(reply.contains(r#""ok": false"#), "{reply}");
+    assert!(reply.contains("'reduce' must be a boolean"), "{reply}");
+
+    let reply = raw_exchange(&daemon.sock, &"[".repeat(100_000));
+    assert!(reply.contains(r#""ok": false"#), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+
+    let status = raw_exchange(&daemon.sock, r#"{"v": 1, "op": "status"}"#);
+    assert!(status.contains(r#""ok": true"#), "{status}");
+    daemon.shutdown();
+}

@@ -255,7 +255,7 @@ pub struct Explorer<P, F, St> {
     factory: F,
     strategy: St,
     config: Config,
-    stop: Option<Arc<AtomicBool>>,
+    stop: Vec<Arc<AtomicBool>>,
     checkpoint: Option<CheckpointSink>,
     progress: Option<Arc<Progress>>,
     initial_stats: SearchStats,
@@ -374,7 +374,7 @@ where
             factory,
             strategy,
             config,
-            stop: None,
+            stop: Vec::new(),
             checkpoint: None,
             progress: None,
             initial_stats: SearchStats::default(),
@@ -382,13 +382,14 @@ where
         }
     }
 
-    /// Attaches a shared cancellation flag. The explorer polls it between
-    /// executions and every 4096 transitions within one (alongside the
-    /// deadline poll); once it reads `true` the search stops with
-    /// [`BudgetKind::Cancelled`]. A parallel search uses this for
-    /// first-error-wins cancellation across workers.
+    /// Attaches a shared cancellation flag. The explorer polls its flags
+    /// between executions and every 4096 transitions within one
+    /// (alongside the deadline poll); once any reads `true` the search
+    /// stops with [`BudgetKind::Cancelled`]. A sharded search attaches
+    /// two: the caller's interrupt flag and the flag a lower shard raises
+    /// when it stops on an error.
     pub fn with_stop_flag(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.stop = Some(stop);
+        self.stop.push(stop);
         self
     }
 
@@ -447,9 +448,7 @@ where
     }
 
     fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
+        self.stop.iter().any(|s| s.load(Ordering::Relaxed))
     }
 
     fn checkpoint_due(&self, executions: u64) -> bool {

@@ -34,10 +34,11 @@
 //!   detects safety violations, deadlocks, and divergences, classifying
 //!   the latter into livelocks (fair cycles) and good-samaritan
 //!   violations.
-//! * [`ParallelExplorer`] — `N` sequential explorers over disjoint
-//!   strategy shards (random seeds, DFS subtrees, preemption bounds) with
-//!   first-error-wins cancellation; the winning schedule is verified to
-//!   replay deterministically before it is reported.
+//! * [`ShardRunner`] — splits a [`Search`] into [`ShardSpec`] slices
+//!   (root-frontier slices for DFS and CB, seeds for random walk) run on
+//!   threads or in separate processes; merged shard reports equal the
+//!   sequential report, and every counterexample is verified to replay
+//!   deterministically before it is reported.
 //!
 //! ## Checking a program
 //!
@@ -103,7 +104,7 @@ pub use fuzz::{
 };
 pub use minimize::{minimize_schedule, reproduces, OutcomeKind};
 pub use observer::{CountingObserver, NullObserver, Observer};
-pub use parallel::{merge_contiguous_shards, merge_seed_shards, ParallelExplorer, ShardSpec};
+pub use parallel::{merge_contiguous_shards, merge_seed_shards, Search, ShardRunner, ShardSpec};
 pub use report::{
     BudgetKind, Divergence, DivergenceKind, SearchOutcome, SearchReport, SearchStats,
 };

@@ -1,146 +1,130 @@
-//! Parallel search: `N` workers exploring disjoint shards of the
-//! schedule space, with first-error-wins cancellation.
+//! The shard runner: the one way a search is split, whether the pieces
+//! run on threads (`check --jobs`), in separate processes
+//! (`check --shard`) or across a campaign daemon's worker pool.
 //!
-//! Stateless model checking parallelizes along the *strategy* axis: the
-//! program, kernel, and fair scheduler stay single-threaded per worker
-//! (each worker builds fresh instances from the shared factory), and the
-//! workers never exchange states — only a stop flag and, at join time,
-//! their statistics. Three sharding schemes are provided, one per
-//! sequential strategy family:
+//! Every execution of a stateless search replays from the initial
+//! state, so the schedule tree splits at the root into subtrees that
+//! share nothing. A [`ShardSpec`] names a contiguous slice of the
+//! depth-0 decision frontier, and a sharded [`Dfs`] or
+//! [`ContextBounded`] search (plain or with sleep sets) applies it in
+//! its root frame: roots before the slice count as already-explored
+//! siblings, roots after it are dropped. Shard `i` therefore visits
+//! exactly the executions the sequential search visits under its roots,
+//! in the same order and with the same sleep sets, and
+//! [`merge_contiguous_shards`] of the shard reports in shard order is
+//! the sequential report (wall clock aside). A [`RandomWalk`] has no
+//! tree to slice: shard `i` walks with `seed + i` and an even share of
+//! the execution budget, merged by [`merge_seed_shards`].
 //!
-//! * **Seed-sharded random walk** ([`ParallelExplorer::run_random`]):
-//!   worker `i` runs [`RandomWalk`] with `seed + i`; an execution budget
-//!   is split across workers so the total matches the sequential search.
-//! * **Prefix-partitioned DFS** ([`ParallelExplorer::run_dfs`]): the
-//!   root-level decision frontier is dealt round-robin to the workers and
-//!   each enumerates its subtrees with the stock [`Dfs`] stack machine —
-//!   together they visit exactly the executions sequential DFS visits,
-//!   each exactly once.
-//! * **Per-bound partitioning** ([`ParallelExplorer::run_iterative_cb`]):
-//!   preemption bounds `0..=max` of iterative context bounding are dealt
-//!   round-robin to the workers.
-//!
-//! Cancellation is cooperative: every worker's sequential [`Explorer`]
-//! polls a shared [`AtomicBool`] between executions and every 4096
-//! transitions within one. The first worker whose search returns an error
-//! claims the win (an atomic compare-exchange makes the claim
-//! unambiguous) and raises the flag; the rest drain with
-//! [`BudgetKind::Cancelled`]. Before the winning error is reported it is
-//! replayed through the *sequential* explorer with a [`FixedSchedule`] —
-//! deterministic reproduction is part of the engine's contract, so a
-//! replay mismatch panics rather than reporting an irreproducible bug.
-//!
-//! Workers are *supervised*: workload panics are already isolated inside
-//! the sequential explorer (they surface as [`SearchOutcome::Panic`]),
-//! but a panic that escapes the explorer itself — a buggy strategy or
-//! factory unwinding between executions — would otherwise take down the
-//! whole search at join time. Instead, each worker body runs under
-//! [`crate::panics::catch_silent`] and is restarted from its shard's
-//! initial strategy up to [`MAX_WORKER_RESTARTS`] times; restarts are
-//! counted in [`SearchStats::worker_restarts`]. A worker that keeps
-//! panicking is abandoned and surfaces as
-//! [`BudgetKind::WorkerPanicked`] — an incomplete search, never a crash.
+//! [`ShardRunner::run_shard`] runs one slice and
+//! [`ShardRunner::run_shards`] runs `K` slices on scoped threads and
+//! merges them. Each shard runs under a supervisor: a panic that escapes
+//! the sequential explorer itself — a buggy strategy or factory, not a
+//! workload panic, which surfaces as [`SearchOutcome::Panic`] — restarts
+//! the shard up to [`MAX_WORKER_RESTARTS`] times, after which the shard
+//! is abandoned as [`BudgetKind::WorkerPanicked`]: an incomplete search,
+//! never a crash. Every counterexample a shard reports is first replayed
+//! through a [`FixedSchedule`]. A shard that stops on an error cancels
+//! only the shards above it, whose work the merge drops anyway.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use crate::explore::{Config, Explorer, Progress};
 use crate::report::{BudgetKind, SearchOutcome, SearchReport, SearchStats};
-use crate::strategy::{
-    ContextBounded, Dfs, FixedSchedule, RandomWalk, Reduction, SchedulePoint, Strategy,
-};
+use crate::strategy::{ContextBounded, Dfs, FixedSchedule, RandomWalk, Reduction, Strategy};
 use crate::system::TransitionSystem;
-use crate::trace::Decision;
 
-/// DFS over the subtrees rooted at an assigned share of the root-level
-/// decision frontier: the current root decision is forced at depth 0 and
-/// the stock [`Dfs`] stack machine (depth-shifted by one) enumerates
-/// everything below it.
-#[derive(Clone)]
-struct PartitionedDfs {
-    roots: Vec<Decision>,
-    current: usize,
-    inner: Dfs,
-    reduction: Reduction,
-}
-
-impl PartitionedDfs {
-    fn new(roots: Vec<Decision>, reduction: Reduction) -> Self {
-        debug_assert!(!roots.is_empty());
-        PartitionedDfs {
-            roots,
-            current: 0,
-            inner: inner_dfs(reduction),
-            reduction,
-        }
-    }
-}
-
-/// The per-subtree DFS of one shard. With sleep sets, each subtree starts
-/// from an empty sleep set at its forced root — a sound superset of the
-/// sequential reduced search (dropping sleep entries only explores more),
-/// so per-shard reduction composes with root partitioning.
-fn inner_dfs(reduction: Reduction) -> Dfs {
-    match reduction {
-        Reduction::None => Dfs::new(),
-        Reduction::SleepSets => Dfs::with_sleep_sets(),
-    }
-}
-
-impl Strategy for PartitionedDfs {
-    fn pick(&mut self, point: &SchedulePoint<'_>) -> Option<Decision> {
-        if point.depth == 0 {
-            let root = self.roots[self.current];
-            debug_assert!(
-                point.options.contains(&root),
-                "root frontier changed across executions"
-            );
-            Some(root)
-        } else {
-            let shifted = SchedulePoint {
-                depth: point.depth - 1,
-                ..*point
-            };
-            self.inner.pick(&shifted)
-        }
-    }
-
-    fn on_execution_end(&mut self) -> bool {
-        if self.inner.on_execution_end() {
-            return true;
-        }
-        // Subtree exhausted: move to the next assigned root.
-        self.inner = inner_dfs(self.reduction);
-        self.current += 1;
-        self.current < self.roots.len()
-    }
-
-    fn name(&self) -> String {
-        format!("dfs-shard({} roots)", self.roots.len())
-    }
-
-    fn wants_footprints(&self) -> bool {
-        self.inner.wants_footprints()
-    }
-}
-
-/// A parallel stateless search: a shared program factory, a search
-/// [`Config`], and a worker count.
+/// One shard of a split search: shard `index` of `of` (indices `0..of`).
 ///
-/// Every worker owns a private sequential [`Explorer`] over fresh program
-/// instances; the shards never overlap, so parallel DFS preserves the
-/// sequential search's exactly-once coverage while random walk divides a
-/// fixed execution budget. With `jobs = 1` each scheme degenerates to the
-/// sequential search (same seed, same order, same statistics).
+/// For [`Search::Dfs`] and [`Search::Cb`] the spec selects a contiguous
+/// slice of the depth-0 decision frontier; for [`Search::Random`] it
+/// selects a seed offset and a budget share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// This shard's position, `0 <= index < of`.
+    pub index: usize,
+    /// Total number of shards (≥ 1).
+    pub of: usize,
+}
+
+impl ShardSpec {
+    /// The one shard that is the whole search.
+    pub const WHOLE: ShardSpec = ShardSpec { index: 0, of: 1 };
+
+    /// Creates a shard spec, or an error message when the pair is not a
+    /// valid position (`of == 0` or `index >= of`).
+    pub fn new(index: usize, of: usize) -> Result<ShardSpec, String> {
+        if of == 0 {
+            return Err("shard count must be at least 1".to_string());
+        }
+        if index >= of {
+            return Err(format!("shard index {index} out of range 0..{of}"));
+        }
+        Ok(ShardSpec { index, of })
+    }
+
+    /// The contiguous slice of `n` items this shard owns:
+    /// `[index·n/of, (index+1)·n/of)`. Adjacent shards tile `0..n`
+    /// without gaps or overlap, and every share differs in size by at
+    /// most one.
+    pub fn range(&self, n: usize) -> std::ops::Range<usize> {
+        self.index * n / self.of..(self.index + 1) * n / self.of
+    }
+}
+
+/// The search a [`ShardRunner`] splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Search {
+    /// Exhaustive depth-first search ([`Dfs`]).
+    Dfs(Reduction),
+    /// Context-bounded search ([`ContextBounded`]) with this preemption
+    /// bound.
+    Cb(u32, Reduction),
+    /// Random walk ([`RandomWalk`]) from this seed.
+    Random(u64),
+}
+
+impl Search {
+    /// The strategy that runs `shard` of this search.
+    fn strategy(self, shard: ShardSpec) -> Box<dyn Strategy> {
+        match self {
+            Search::Dfs(Reduction::None) => Box::new(Dfs::new().sharded(shard)),
+            Search::Dfs(Reduction::SleepSets) => Box::new(Dfs::with_sleep_sets().sharded(shard)),
+            Search::Cb(bound, Reduction::None) => {
+                Box::new(ContextBounded::new(bound).sharded(shard))
+            }
+            Search::Cb(bound, Reduction::SleepSets) => {
+                Box::new(ContextBounded::with_sleep_sets(bound).sharded(shard))
+            }
+            Search::Random(seed) => {
+                Box::new(RandomWalk::new(seed.wrapping_add(shard.index as u64)))
+            }
+        }
+    }
+
+    /// Merges the reports of all shards of this search, in shard order.
+    fn merge(self, reports: &[SearchReport]) -> SearchReport {
+        match self {
+            Search::Random(_) => merge_seed_shards(reports),
+            Search::Dfs(_) | Search::Cb(..) => merge_contiguous_shards(reports),
+        }
+    }
+}
+
+/// Runs shards of one [`Search`] over a program factory.
+///
+/// Execution budgets in the config apply to every dfs or cb shard
+/// alike; a random walk's execution budget is the total across shards.
+/// A time budget applies to every shard alike.
 ///
 /// # Examples
 ///
 /// ```
-/// use chess_core::{Config, ParallelExplorer};
+/// use chess_core::{Config, Explorer, Reduction, Search, ShardRunner};
 /// use chess_core::strategy::Dfs;
-/// use chess_core::Explorer;
 /// use chess_kernel::{Effects, GuestThread, Kernel, OpDesc, OpResult};
 ///
 /// #[derive(Clone)]
@@ -161,386 +145,79 @@ impl Strategy for PartitionedDfs {
 ///     k.spawn(Step(false));
 ///     k
 /// };
-/// let parallel = ParallelExplorer::new(factory, Config::fair(), 2).run_dfs();
-/// let sequential = Explorer::new(factory, Dfs::new(), Config::fair()).run();
-/// assert_eq!(parallel.outcome, sequential.outcome);
-/// assert_eq!(parallel.stats.executions, sequential.stats.executions);
+/// let mut sharded = ShardRunner::new(factory, Config::fair(), Search::Dfs(Reduction::None))
+///     .run_shards(2);
+/// let mut sequential = Explorer::new(factory, Dfs::new(), Config::fair()).run();
+/// sharded.stats.wall = Default::default();
+/// sequential.stats.wall = Default::default();
+/// assert_eq!(sharded, sequential);
 /// ```
-pub struct ParallelExplorer<P, F> {
+pub struct ShardRunner<F> {
     factory: F,
     config: Config,
-    jobs: usize,
-    external_stop: Option<Arc<AtomicBool>>,
+    search: Search,
+    stop: Option<Arc<AtomicBool>>,
     progress: Option<Arc<Progress>>,
-    _marker: std::marker::PhantomData<fn() -> P>,
 }
 
-impl<P, F> ParallelExplorer<P, F>
+impl<P, F> ShardRunner<F>
 where
     P: TransitionSystem,
     F: Fn() -> P + Sync,
 {
-    /// Creates a parallel explorer with `jobs` workers (clamped to ≥ 1).
-    pub fn new(factory: F, config: Config, jobs: usize) -> Self {
-        ParallelExplorer {
+    /// Creates a runner for `search` over programs built by `factory`.
+    pub fn new(factory: F, config: Config, search: Search) -> Self {
+        ShardRunner {
             factory,
             config,
-            jobs: jobs.max(1),
-            external_stop: None,
+            search,
+            stop: None,
             progress: None,
-            _marker: std::marker::PhantomData,
         }
     }
 
-    /// The worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Attaches an externally-owned cancellation flag (e.g. raised by a
-    /// SIGINT handler). It is shared with the internal first-error-wins
-    /// flag, so raising it stops every worker at its next poll; the
-    /// interrupted shards surface as [`BudgetKind::Cancelled`].
+    /// Attaches an externally owned cancellation flag (e.g. raised by a
+    /// SIGINT handler): raising it stops every shard at its next poll,
+    /// and the interrupted shards report [`BudgetKind::Cancelled`].
     pub fn with_stop_flag(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.external_stop = Some(stop);
+        self.stop = Some(stop);
         self
     }
 
-    /// Attaches shared progress counters, published by the single-shard
-    /// runners ([`ParallelExplorer::run_dfs_shard`],
-    /// [`ParallelExplorer::run_random_shard`]) at every execution
-    /// boundary — a process supervisor watches these as a liveness
-    /// signal.
+    /// Attaches shared progress counters, published by
+    /// [`ShardRunner::run_shard`] at every execution boundary — a
+    /// process supervisor watches these as a liveness signal.
     pub fn with_progress(mut self, progress: Arc<Progress>) -> Self {
         self.progress = Some(progress);
         self
     }
 
-    /// The cancellation flag shared by all workers of one run: the
-    /// external flag when attached, otherwise a fresh private one.
-    fn shared_stop(&self) -> Arc<AtomicBool> {
-        self.external_stop
-            .clone()
-            .unwrap_or_else(|| Arc::new(AtomicBool::new(false)))
+    /// Runs one shard sequentially. A dfs or cb shard whose slice of the
+    /// root frontier is empty (more shards than roots) returns a
+    /// zero-stats [`SearchOutcome::Complete`] report. A world with
+    /// nothing schedulable at the root has no frontier to slice: shard 0
+    /// runs the whole search and every other shard is empty.
+    pub fn run_shard(&self, shard: ShardSpec) -> SearchReport {
+        self.run_one(shard, None, self.progress.as_ref())
     }
 
-    /// Wires the optional stop flag and progress counters into one
-    /// sequential explorer.
-    fn instrument<F2: FnMut() -> P, St: Strategy>(
-        &self,
-        explorer: Explorer<P, F2, St>,
-    ) -> Explorer<P, F2, St> {
-        let explorer = explorer.with_stop_flag(self.shared_stop());
-        match &self.progress {
-            Some(p) => explorer.with_progress(Arc::clone(p)),
-            None => explorer,
-        }
-    }
-
-    /// Runs one *shard* of the depth-first search sequentially: the
-    /// contiguous slice `shard.range(n)` of the depth-0 decision
-    /// frontier (`n` roots total), enumerated exhaustively in frontier
-    /// order.
-    ///
-    /// This is the distributed-search counterpart of
-    /// [`ParallelExplorer::run_dfs`]: instead of threads in one process
-    /// dealing roots round-robin, independent *processes* each run one
-    /// shard and a coordinator merges the reports with
-    /// [`merge_contiguous_shards`]. Contiguity in frontier order is what
-    /// makes the merge exact — sequential DFS explores the root subtrees
-    /// left to right, so shard `i`'s executions are precisely a
-    /// contiguous window of the sequential execution sequence, and a
-    /// shard-local execution index rebases to the global one by adding
-    /// the prior shards' totals.
-    ///
-    /// An empty slice (more shards than roots) returns a zero-stats
-    /// [`SearchOutcome::Complete`] report. A world with an *empty*
-    /// frontier (nothing schedulable at the root) is degenerate: shard 0
-    /// runs the whole sequential search so the merged report still
-    /// matches it, and every other shard is empty.
-    pub fn run_dfs_shard(&self, shard: ShardSpec) -> SearchReport {
-        let roots = self.root_frontier();
-        if roots.is_empty() {
-            if shard.index == 0 {
-                return self
-                    .instrument(Explorer::new(
-                        &self.factory,
-                        Dfs::new(),
-                        self.config.clone(),
-                    ))
-                    .run();
-            }
-            return empty_shard_report();
-        }
-        let range = shard.range(roots.len());
-        if range.is_empty() {
-            return empty_shard_report();
-        }
-        let mine = roots[range].to_vec();
-        self.instrument(Explorer::new(
-            &self.factory,
-            PartitionedDfs::new(mine, Reduction::None),
-            self.config.clone(),
-        ))
-        .run()
-    }
-
-    /// Runs one *shard* of the seed-sharded random walk sequentially:
-    /// shard `i` of `k` walks with `seed + i` and an even share of the
-    /// total execution budget, exactly as worker `i` of
-    /// [`ParallelExplorer::run_random`] with `k` jobs would. Merge the
-    /// shard reports with [`merge_seed_shards`]; the merged totals match
-    /// the in-process parallel walk, though — unlike DFS shards — random
-    /// shards sample distinct schedule sequences, so the merge is
-    /// deterministic rather than byte-identical to the *sequential*
-    /// single-seed walk.
-    pub fn run_random_shard(&self, seed: u64, shard: ShardSpec) -> SearchReport {
-        let shares = split_budget(self.config.max_executions, shard.of);
-        let mut config = self.config.clone();
-        config.max_executions = shares[shard.index];
-        self.instrument(Explorer::new(
-            &self.factory,
-            RandomWalk::new(seed.wrapping_add(shard.index as u64)),
-            config,
-        ))
-        .run()
-    }
-
-    /// Seed-sharded random walk: worker `i` searches with
-    /// `RandomWalk::new(seed + i)`. An execution budget in the config is
-    /// the *total* across workers and is split as evenly as possible; the
-    /// time budget (if any) applies to every worker alike.
-    pub fn run_random(&self, seed: u64) -> SearchReport {
+    /// Runs all `of` shards on scoped threads and merges their reports
+    /// with [`merge_contiguous_shards`], or [`merge_seed_shards`] for a
+    /// random walk. With `of = 1` this is the sequential search.
+    pub fn run_shards(&self, of: usize) -> SearchReport {
         let start = Instant::now();
-        let shares = split_budget(self.config.max_executions, self.jobs);
-        let workers: Vec<_> = shares
-            .into_iter()
-            .enumerate()
-            .map(|(i, share)| {
-                let mut config = self.config.clone();
-                config.max_executions = share;
-                (RandomWalk::new(seed.wrapping_add(i as u64)), config)
-            })
-            .collect();
-        self.run_workers(start, workers)
-    }
-
-    /// Prefix-partitioned depth-first search: the depth-0 decision
-    /// frontier is dealt round-robin to the workers, and each enumerates
-    /// its subtrees exhaustively. The union of the shards is exactly the
-    /// sequential [`Dfs`] search — same executions, visited once each.
-    /// An execution budget is split across workers like
-    /// [`ParallelExplorer::run_random`].
-    pub fn run_dfs(&self) -> SearchReport {
-        self.run_dfs_with(Reduction::None)
-    }
-
-    /// [`ParallelExplorer::run_dfs`] with a partial-order reduction
-    /// applied inside every shard: each worker runs sleep-set DFS over
-    /// its subtrees, starting from an empty sleep set at each forced
-    /// root. The union of the shards is a superset of the sequential
-    /// reduced search and a subset of the unreduced one, and preserves
-    /// the same verdicts.
-    pub fn run_dfs_with(&self, reduction: Reduction) -> SearchReport {
-        let start = Instant::now();
-        let roots = self.root_frontier();
-        if self.jobs == 1 || roots.len() <= 1 {
-            // Nothing to partition: identical to the sequential search.
-            return Explorer::new(
-                || (self.factory)(),
-                inner_dfs(reduction),
-                self.config.clone(),
-            )
-            .with_stop_flag(self.shared_stop())
-            .run();
-        }
-        let jobs = self.jobs.min(roots.len());
-        let shares = split_budget(self.config.max_executions, jobs);
-        let workers: Vec<_> = (0..jobs)
-            .map(|i| {
-                let mine: Vec<Decision> = roots.iter().copied().skip(i).step_by(jobs).collect();
-                let mut config = self.config.clone();
-                config.max_executions = shares[i];
-                (PartitionedDfs::new(mine, reduction), config)
-            })
-            .collect();
-        self.run_workers(start, workers)
-    }
-
-    /// Per-bound-partitioned iterative context bounding: preemption
-    /// bounds `0..=max_bound` are dealt round-robin to the workers, each
-    /// running the full sequential search for its bounds in ascending
-    /// order. Returns the per-bound reports, sorted by bound.
-    ///
-    /// With `stop_on_error` set, the first error raises the stop flag:
-    /// workers abandon their remaining bounds, so — unlike the sequential
-    /// [`crate::iterative_context_bounding`] — reports for a few bounds
-    /// *above* the erroring one may appear (they ran concurrently), and
-    /// in-flight searches surface as [`BudgetKind::Cancelled`].
-    pub fn run_iterative_cb(&self, max_bound: u32) -> Vec<(u32, SearchReport)> {
-        let stop = self.shared_stop();
-        let jobs = self.jobs.min(max_bound as usize + 1);
-        let mut reports: Vec<(u32, SearchReport)> = thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|i| {
-                    let stop = Arc::clone(&stop);
-                    let factory = &self.factory;
-                    let config = &self.config;
-                    s.spawn(move || {
-                        let mut mine = Vec::new();
-                        let mut bound = i as u32;
-                        while bound <= max_bound && !stop.load(Ordering::Relaxed) {
-                            // Supervise the per-bound search: an engine
-                            // panic restarts the bound from scratch (the
-                            // sequential search for one bound is
-                            // self-contained), then gives up on the bound.
-                            let mut restarts = 0u64;
-                            let mut lost = 0u64;
-                            let mut report = loop {
-                                let stop = Arc::clone(&stop);
-                                let config = config.clone();
-                                let progress = Arc::new(Progress::default());
-                                let shared = Arc::clone(&progress);
-                                let attempt = crate::panics::catch_silent(move || {
-                                    Explorer::new(factory, ContextBounded::new(bound), config)
-                                        .with_stop_flag(stop)
-                                        .with_progress(shared)
-                                        .run()
-                                });
-                                match attempt {
-                                    Ok(report) => break report,
-                                    Err(_) => {
-                                        // Harvest the dead attempt's
-                                        // boundary totals before the
-                                        // restart re-runs the bound.
-                                        lost += progress.executions.load(Ordering::Relaxed);
-                                        if restarts < MAX_WORKER_RESTARTS {
-                                            restarts += 1;
-                                        } else {
-                                            break lost_worker_report();
-                                        }
-                                    }
-                                }
-                            };
-                            report.stats.worker_restarts += restarts;
-                            report.stats.lost_to_restart += lost;
-                            let found = report.outcome.found_error();
-                            mine.push((bound, report));
-                            if found && config.stop_on_error {
-                                stop.store(true, Ordering::Release);
-                                break;
-                            }
-                            bound += jobs as u32;
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Worker bodies are supervised above; a join failure can
-                // only mean a panic in the bookkeeping itself. Harvest
-                // what the other workers produced instead of aborting.
-                .flat_map(|h| h.join().unwrap_or_default())
-                .collect()
-        });
-        reports.sort_by_key(|&(bound, _)| bound);
-        for (_, report) in &reports {
-            if report.outcome.found_error() {
-                self.verify_replay(&report.outcome);
-            }
-        }
-        reports
-    }
-
-    /// The depth-0 decision frontier, exactly as the sequential explorer
-    /// computes it: a fresh fair scheduler has no priorities yet, so the
-    /// schedulable set equals the enabled set.
-    fn root_frontier(&self) -> Vec<Decision> {
-        let sys = (self.factory)();
-        if !sys.status().is_running() {
-            return Vec::new();
-        }
-        let mut options = Vec::new();
-        for t in sys.enabled_set().iter() {
-            for c in 0..sys.branching(t) {
-                options.push(Decision {
-                    thread: t,
-                    choice: c as u32,
-                });
-            }
-        }
-        options
-    }
-
-    /// Runs one sequential explorer per `(strategy, config)` pair on
-    /// scoped threads, with first-error-wins cancellation and a
-    /// supervisor per worker (see the module docs), and merges the
-    /// per-worker reports.
-    fn run_workers<St: Strategy + Clone + Send>(
-        &self,
-        start: Instant,
-        workers: Vec<(St, Config)>,
-    ) -> SearchReport {
-        let stop = self.shared_stop();
-        let winner = AtomicUsize::new(usize::MAX);
-        let restarts = AtomicU64::new(0);
+        let cancels: Vec<Arc<AtomicBool>> = (0..of).map(|_| Arc::default()).collect();
         let reports: Vec<SearchReport> = thread::scope(|s| {
-            let handles: Vec<_> = workers
-                .into_iter()
-                .enumerate()
-                .map(|(i, (strategy, config))| {
-                    let stop = Arc::clone(&stop);
-                    let factory = &self.factory;
-                    let winner = &winner;
-                    let restarts = &restarts;
+            let handles: Vec<_> = (0..of)
+                .map(|index| {
+                    let cancels = &cancels;
                     s.spawn(move || {
-                        let stop_on_error = config.stop_on_error;
-                        // Supervisor loop: restart a panicked worker from
-                        // its shard's initial strategy, give up after the
-                        // restart cap. Restarting re-runs the shard, so a
-                        // failed attempt's counters must not be merged
-                        // into the live totals — instead its boundary
-                        // progress is harvested into `lost_to_restart`,
-                        // keeping the work it did visible in the report.
-                        let mut attempts = 0u64;
-                        let mut lost = 0u64;
-                        let mut report = loop {
-                            let strategy = strategy.clone();
-                            let config = config.clone();
-                            let stop = Arc::clone(&stop);
-                            let progress = Arc::new(Progress::default());
-                            let shared = Arc::clone(&progress);
-                            let attempt = crate::panics::catch_silent(move || {
-                                Explorer::new(factory, strategy, config)
-                                    .with_stop_flag(stop)
-                                    .with_progress(shared)
-                                    .run()
-                            });
-                            match attempt {
-                                Ok(report) => break report,
-                                Err(_) => {
-                                    lost += progress.executions.load(Ordering::Relaxed);
-                                    if attempts < MAX_WORKER_RESTARTS {
-                                        attempts += 1;
-                                        restarts.fetch_add(1, Ordering::Relaxed);
-                                    } else {
-                                        break lost_worker_report();
-                                    }
-                                }
+                        let report =
+                            self.run_one(ShardSpec { index, of }, Some(&cancels[index]), None);
+                        if self.config.stop_on_error && report.outcome.found_error() {
+                            for cancel in &cancels[index + 1..] {
+                                cancel.store(true, Ordering::Release);
                             }
-                        };
-                        report.stats.lost_to_restart += lost;
-                        if stop_on_error && report.outcome.found_error() {
-                            // Claim the win before raising the flag so
-                            // the winning worker is unambiguous.
-                            let _ = winner.compare_exchange(
-                                usize::MAX,
-                                i,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            );
-                            stop.store(true, Ordering::Release);
                         }
                         report
                     })
@@ -548,109 +225,147 @@ where
                 .collect();
             handles
                 .into_iter()
-                // Supervised above; harvest the survivors even if a
-                // worker's bookkeeping somehow panicked.
-                .map(|h| h.join().unwrap_or_else(|_| lost_worker_report()))
+                // Shards are supervised; what escapes is a failed replay
+                // verification, which must not be swallowed.
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-        let winner = winner.load(Ordering::Acquire);
-        let mut stats = SearchStats::default();
-        for r in &reports {
-            stats.merge(&r.stats);
+        let mut merged = self.search.merge(&reports);
+        merged.stats.wall = start.elapsed();
+        merged
+    }
+
+    fn run_one(
+        &self,
+        shard: ShardSpec,
+        cancel: Option<&Arc<AtomicBool>>,
+        progress: Option<&Arc<Progress>>,
+    ) -> SearchReport {
+        let mut config = self.config.clone();
+        if let Search::Random(_) = self.search {
+            config.max_executions = split_budget(config.max_executions, shard.of)[shard.index];
+        } else if !self.owns_roots(shard) {
+            return empty_shard_report();
         }
-        stats.worker_restarts += restarts.load(Ordering::Relaxed);
-        stats.wall = start.elapsed();
-        let outcome = if winner != usize::MAX {
-            let outcome = reports[winner].outcome.clone();
-            self.verify_replay(&outcome);
-            outcome
+        let stops: Vec<&Arc<AtomicBool>> = self.stop.iter().chain(cancel).collect();
+        let report = supervise(
+            &self.factory,
+            || self.search.strategy(shard),
+            &config,
+            &stops,
+            progress,
+        );
+        verify_replay(&self.factory, &config, &report.outcome);
+        report
+    }
+
+    /// Whether `shard` owns any of the depth-0 decisions. The frontier is
+    /// the one the explorer presents at depth 0: a fresh fair scheduler
+    /// has no priorities yet, so it is every enabled thread's branches.
+    fn owns_roots(&self, shard: ShardSpec) -> bool {
+        let sys = (self.factory)();
+        let roots = if sys.status().is_running() {
+            sys.enabled_set().iter().map(|t| sys.branching(t)).sum()
         } else {
-            merge_outcomes(reports)
+            0
         };
-        SearchReport { outcome, stats }
-    }
-
-    /// Replays an error's schedule through the sequential explorer with a
-    /// [`FixedSchedule`] and asserts the identical error reproduces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replay reaches a different outcome — that would mean
-    /// the factory is nondeterministic (or the engine is broken), and a
-    /// counterexample that cannot be reproduced must not be reported.
-    fn verify_replay(&self, outcome: &SearchOutcome) {
-        let schedule = match outcome {
-            SearchOutcome::SafetyViolation(c)
-            | SearchOutcome::Deadlock(c)
-            | SearchOutcome::Panic(c) => &c.schedule,
-            SearchOutcome::Divergence(d) => &d.schedule,
-            _ => return,
-        };
-        let report = Explorer::new(
-            || (self.factory)(),
-            FixedSchedule::new(schedule.clone()),
-            self.config.clone(),
-        )
-        .run();
-        match (outcome, &report.outcome) {
-            (SearchOutcome::SafetyViolation(a), SearchOutcome::SafetyViolation(b))
-            | (SearchOutcome::Deadlock(a), SearchOutcome::Deadlock(b))
-            | (SearchOutcome::Panic(a), SearchOutcome::Panic(b)) => {
-                assert_eq!(
-                    (&a.message, &a.schedule),
-                    (&b.message, &b.schedule),
-                    "parallel counterexample failed deterministic replay"
-                );
-            }
-            (SearchOutcome::Divergence(a), SearchOutcome::Divergence(b)) => {
-                assert_eq!(
-                    (&a.kind, &a.schedule),
-                    (&b.kind, &b.schedule),
-                    "parallel divergence failed deterministic replay"
-                );
-            }
-            (original, replayed) => panic!(
-                "parallel error failed deterministic replay:\n  found:    \
-                 {original:?}\n  replayed: {replayed:?}"
-            ),
+        if roots == 0 {
+            shard.index == 0
+        } else {
+            !shard.range(roots).is_empty()
         }
     }
 }
 
-/// One shard of a distributed search: this process is shard `index` of
-/// `of` total (indices `0..of`).
+/// Runs one sequential search under the supervisor loop: a panic that
+/// escapes the explorer restarts the search from a fresh strategy, up to
+/// [`MAX_WORKER_RESTARTS`] times. Restarting re-runs the shard, so a
+/// failed attempt's counters are not merged into the report; its
+/// boundary progress is kept in `lost_to_restart` instead.
+fn supervise<P, F, St>(
+    factory: &F,
+    strategy: impl Fn() -> St,
+    config: &Config,
+    stops: &[&Arc<AtomicBool>],
+    progress: Option<&Arc<Progress>>,
+) -> SearchReport
+where
+    P: TransitionSystem,
+    F: Fn() -> P,
+    St: Strategy,
+{
+    let mut restarts = 0u64;
+    let mut lost = 0u64;
+    let mut report = loop {
+        let progress = progress.cloned().unwrap_or_default();
+        let mut explorer =
+            Explorer::new(factory, strategy(), config.clone()).with_progress(Arc::clone(&progress));
+        for stop in stops {
+            explorer = explorer.with_stop_flag(Arc::clone(stop));
+        }
+        match crate::panics::catch_silent(move || explorer.run()) {
+            Ok(report) => break report,
+            Err(_) => {
+                lost += progress.executions.load(Ordering::Relaxed);
+                if restarts == MAX_WORKER_RESTARTS {
+                    break lost_worker_report();
+                }
+                restarts += 1;
+            }
+        }
+    };
+    report.stats.worker_restarts += restarts;
+    report.stats.lost_to_restart += lost;
+    report
+}
+
+/// Replays an error's schedule through the sequential explorer with a
+/// [`FixedSchedule`] and asserts the identical error reproduces.
 ///
-/// For DFS ([`ParallelExplorer::run_dfs_shard`]) the spec selects a
-/// contiguous slice of the depth-0 decision frontier; for random walk
-/// ([`ParallelExplorer::run_random_shard`]) it selects a seed offset and
-/// a budget share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This shard's position, `0 <= index < of`.
-    pub index: usize,
-    /// Total number of shards (≥ 1).
-    pub of: usize,
-}
-
-impl ShardSpec {
-    /// Creates a shard spec, or an error message when the pair is not a
-    /// valid position (`of == 0` or `index >= of`).
-    pub fn new(index: usize, of: usize) -> Result<ShardSpec, String> {
-        if of == 0 {
-            return Err("shard count must be at least 1".to_string());
+/// # Panics
+///
+/// Panics if the replay reaches a different outcome — that would mean
+/// the factory is nondeterministic (or the engine is broken), and a
+/// counterexample that cannot be reproduced must not be reported.
+fn verify_replay<P, F>(factory: &F, config: &Config, outcome: &SearchOutcome)
+where
+    P: TransitionSystem,
+    F: Fn() -> P,
+{
+    let schedule = match outcome {
+        SearchOutcome::SafetyViolation(c)
+        | SearchOutcome::Deadlock(c)
+        | SearchOutcome::Panic(c) => &c.schedule,
+        SearchOutcome::Divergence(d) => &d.schedule,
+        _ => return,
+    };
+    let report = Explorer::new(
+        factory,
+        FixedSchedule::new(schedule.clone()),
+        config.clone(),
+    )
+    .run();
+    match (outcome, &report.outcome) {
+        (SearchOutcome::SafetyViolation(a), SearchOutcome::SafetyViolation(b))
+        | (SearchOutcome::Deadlock(a), SearchOutcome::Deadlock(b))
+        | (SearchOutcome::Panic(a), SearchOutcome::Panic(b)) => {
+            assert_eq!(
+                (&a.message, &a.schedule),
+                (&b.message, &b.schedule),
+                "shard counterexample failed deterministic replay"
+            );
         }
-        if index >= of {
-            return Err(format!("shard index {index} out of range 0..{of}"));
+        (SearchOutcome::Divergence(a), SearchOutcome::Divergence(b)) => {
+            assert_eq!(
+                (&a.kind, &a.schedule),
+                (&b.kind, &b.schedule),
+                "shard divergence failed deterministic replay"
+            );
         }
-        Ok(ShardSpec { index, of })
-    }
-
-    /// The contiguous slice of `n` items this shard owns:
-    /// `[index·n/of, (index+1)·n/of)`. Adjacent shards tile `0..n`
-    /// without gaps or overlap, and every share differs in size by at
-    /// most one.
-    pub fn range(&self, n: usize) -> std::ops::Range<usize> {
-        self.index * n / self.of..(self.index + 1) * n / self.of
+        (original, replayed) => panic!(
+            "shard error failed deterministic replay:\n  found:    \
+             {original:?}\n  replayed: {replayed:?}"
+        ),
     }
 }
 
@@ -676,18 +391,16 @@ fn rebase_outcome(mut outcome: SearchOutcome, prior: u64) -> SearchOutcome {
     outcome
 }
 
-/// Merges the reports of a contiguous DFS shard run
-/// ([`ParallelExplorer::run_dfs_shard`]), in shard order, into the
-/// report the *sequential* DFS over the same world produces.
+/// Merges the reports of contiguous dfs or cb shards, in shard order,
+/// into the report the sequential search over the same world produces.
 ///
-/// The walk mirrors what sequential DFS with `stop_on_error` does:
-/// prior shards' statistics accumulate until the first shard that found
-/// an error; that shard's error wins with its execution index rebased
-/// by the accumulated prior executions, and everything after it — work
-/// the sequential search would never have reached — is dropped. With no
-/// error the outcome is `Complete` only if every shard completed,
-/// otherwise the most limiting budget across shards (the
-/// [`BudgetKind`] ranking of the in-process parallel merge).
+/// The walk mirrors what the sequential search with `stop_on_error`
+/// does: prior shards' statistics accumulate until the first shard that
+/// found an error; that shard's error wins with its execution index
+/// rebased by the accumulated prior executions, and everything after it
+/// — work the sequential search would never have reached — is dropped.
+/// With no error the outcome is `Complete` only if every shard
+/// completed, otherwise the most limiting budget across shards.
 ///
 /// Equality with the sequential report is exact (wall clock aside)
 /// whenever no shard hit a budget before the winning error — in
@@ -718,12 +431,9 @@ pub fn merge_contiguous_shards(reports: &[SearchReport]) -> SearchReport {
     }
 }
 
-/// Merges the reports of a seed-sharded random walk
-/// ([`ParallelExplorer::run_random_shard`]): all statistics accumulate
-/// (every shard ran), and the outcome is the lowest-indexed shard's
-/// error if any — a deterministic tie-break, where the in-process
-/// [`ParallelExplorer::run_random`] races its workers for the win —
-/// otherwise the most limiting budget.
+/// Merges the reports of a seed-sharded random walk: all statistics
+/// accumulate (every shard ran), and the outcome is the lowest-indexed
+/// shard's error if any, otherwise the most limiting budget.
 pub fn merge_seed_shards(reports: &[SearchReport]) -> SearchReport {
     let mut stats = SearchStats::default();
     for r in reports {
@@ -744,12 +454,12 @@ pub fn merge_seed_shards(reports: &[SearchReport]) -> SearchReport {
     SearchReport { outcome, stats }
 }
 
-/// How many times a panicked worker is replaced before its shard is
-/// abandoned as [`BudgetKind::WorkerPanicked`].
+/// How many times a panicked shard is restarted before it is abandoned
+/// as [`BudgetKind::WorkerPanicked`].
 pub(crate) const MAX_WORKER_RESTARTS: u64 = 2;
 
-/// The report standing in for a worker whose shard was abandoned after
-/// exhausting its restarts: an incomplete search, not an error.
+/// The report standing in for a shard abandoned after exhausting its
+/// restarts: an incomplete search, not an error.
 fn lost_worker_report() -> SearchReport {
     SearchReport {
         outcome: SearchOutcome::BudgetExhausted(BudgetKind::WorkerPanicked),
@@ -757,15 +467,15 @@ fn lost_worker_report() -> SearchReport {
     }
 }
 
-/// Splits a total execution budget into per-worker shares summing to the
-/// total (`None` stays unbounded for every worker).
-fn split_budget(total: Option<u64>, jobs: usize) -> Vec<Option<u64>> {
+/// Splits a total execution budget into per-shard shares summing to the
+/// total (`None` stays unbounded for every shard).
+fn split_budget(total: Option<u64>, shards: usize) -> Vec<Option<u64>> {
     match total {
-        None => vec![None; jobs],
+        None => vec![None; shards],
         Some(n) => {
-            let base = n / jobs as u64;
-            let extra = (n % jobs as u64) as usize;
-            (0..jobs)
+            let base = n / shards as u64;
+            let extra = (n % shards as u64) as usize;
+            (0..shards)
                 .map(|i| Some(base + u64::from(i < extra)))
                 .collect()
         }
@@ -785,22 +495,12 @@ fn outcome_rank(o: &SearchOutcome) -> u8 {
     }
 }
 
-/// The overall outcome of an error-free parallel search: `Complete` only
-/// if every shard completed; otherwise the most limiting budget.
-fn merge_outcomes(reports: Vec<SearchReport>) -> SearchOutcome {
-    let mut merged = SearchOutcome::Complete;
-    for r in reports {
-        if outcome_rank(&r.outcome) > outcome_rank(&merged) {
-            merged = r.outcome;
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{SchedulePoint, Strategy};
     use crate::system::testsys::{Act, Script};
+    use crate::trace::Decision;
 
     /// Three-step acyclic world: 3 interleavings, 9 transitions.
     fn two_step_scripts() -> Script {
@@ -820,44 +520,6 @@ mod tests {
         )
     }
 
-    fn zero_wall(mut r: SearchReport) -> SearchReport {
-        r.stats.wall = std::time::Duration::ZERO;
-        r
-    }
-
-    #[test]
-    fn jobs_one_random_matches_sequential() {
-        let config = Config::fair().with_max_executions(16);
-        let sequential = Explorer::new(two_step_scripts, RandomWalk::new(7), config.clone()).run();
-        let parallel = ParallelExplorer::new(two_step_scripts, config, 1).run_random(7);
-        assert_eq!(zero_wall(parallel), zero_wall(sequential));
-    }
-
-    #[test]
-    fn jobs_one_dfs_matches_sequential() {
-        let config = Config::fair();
-        let sequential = Explorer::new(two_step_scripts, Dfs::new(), config.clone()).run();
-        let parallel = ParallelExplorer::new(two_step_scripts, config, 1).run_dfs();
-        assert_eq!(zero_wall(parallel), zero_wall(sequential));
-    }
-
-    #[test]
-    fn parallel_dfs_visits_exactly_the_sequential_executions() {
-        let config = Config::fair();
-        let sequential = Explorer::new(two_step_scripts, Dfs::new(), config.clone()).run();
-        for jobs in [2, 3, 4, 7] {
-            let parallel = ParallelExplorer::new(two_step_scripts, config.clone(), jobs).run_dfs();
-            assert_eq!(parallel.outcome, SearchOutcome::Complete, "jobs={jobs}");
-            assert_eq!(
-                parallel.stats.executions, sequential.stats.executions,
-                "jobs={jobs}: shards must partition the tree, not duplicate it"
-            );
-            assert_eq!(parallel.stats.transitions, sequential.stats.transitions);
-            assert_eq!(parallel.stats.terminating, sequential.stats.terminating);
-            assert_eq!(parallel.stats.max_depth, sequential.stats.max_depth);
-        }
-    }
-
     /// A world with an independent pair (distinct counters) where sleep
     /// sets have something to prune, plus a dependent pair they must keep.
     fn prunable_scripts() -> Script {
@@ -871,38 +533,76 @@ mod tests {
         )
     }
 
-    #[test]
-    fn reduced_parallel_dfs_agrees_and_explores_no_more() {
-        let config = Config::fair();
-        let plain = Explorer::new(prunable_scripts, Dfs::new(), config.clone()).run();
-        assert_eq!(plain.outcome, SearchOutcome::Complete);
-        for jobs in [1, 2, 3] {
-            let reduced = ParallelExplorer::new(prunable_scripts, config.clone(), jobs)
-                .run_dfs_with(Reduction::SleepSets);
-            assert_eq!(reduced.outcome, SearchOutcome::Complete, "jobs={jobs}");
-            assert!(
-                reduced.stats.executions < plain.stats.executions,
-                "jobs={jobs}: sleep sets pruned nothing ({} vs {})",
-                reduced.stats.executions,
-                plain.stats.executions,
-            );
-        }
-        // With one worker the reduced parallel search IS the sequential
-        // reduced search.
-        let sequential =
-            Explorer::new(prunable_scripts, Dfs::with_sleep_sets(), config.clone()).run();
-        let one =
-            ParallelExplorer::new(prunable_scripts, config, 1).run_dfs_with(Reduction::SleepSets);
-        assert_eq!(zero_wall(one), zero_wall(sequential));
+    fn zero_wall(mut r: SearchReport) -> SearchReport {
+        r.stats.wall = std::time::Duration::ZERO;
+        r
     }
 
-    /// Per-shard sleep sets must not prune an error only some shards can
+    fn runner<F: Fn() -> Script + Sync>(factory: F, search: Search) -> ShardRunner<F> {
+        ShardRunner::new(factory, Config::fair(), search)
+    }
+
+    const DFS: Search = Search::Dfs(Reduction::None);
+    const SLEEP_DFS: Search = Search::Dfs(Reduction::SleepSets);
+
+    #[test]
+    fn jobs_one_random_matches_sequential() {
+        let config = Config::fair().with_max_executions(16);
+        let sequential = Explorer::new(two_step_scripts, RandomWalk::new(7), config.clone()).run();
+        let sharded = ShardRunner::new(two_step_scripts, config, Search::Random(7)).run_shards(1);
+        assert_eq!(zero_wall(sharded), zero_wall(sequential));
+    }
+
+    #[test]
+    fn jobs_one_dfs_matches_sequential() {
+        let sequential = Explorer::new(two_step_scripts, Dfs::new(), Config::fair()).run();
+        let sharded = runner(two_step_scripts, DFS).run_shards(1);
+        assert_eq!(zero_wall(sharded), zero_wall(sequential));
+    }
+
+    #[test]
+    fn parallel_dfs_visits_exactly_the_sequential_executions() {
+        let sequential = Explorer::new(two_step_scripts, Dfs::new(), Config::fair()).run();
+        for jobs in [2, 3, 4, 7] {
+            let sharded = runner(two_step_scripts, DFS).run_shards(jobs);
+            assert_eq!(
+                zero_wall(sharded),
+                zero_wall(sequential.clone()),
+                "jobs={jobs}: shards must partition the tree, not duplicate it"
+            );
+        }
+    }
+
+    /// Roots before a shard's slice are explored siblings, so sharded
+    /// sleep sets prune exactly what the sequential search prunes.
+    #[test]
+    fn reduced_parallel_dfs_agrees_and_explores_no_more() {
+        let plain = Explorer::new(prunable_scripts, Dfs::new(), Config::fair()).run();
+        let sequential =
+            Explorer::new(prunable_scripts, Dfs::with_sleep_sets(), Config::fair()).run();
+        assert_eq!(sequential.outcome, SearchOutcome::Complete);
+        assert!(
+            sequential.stats.executions < plain.stats.executions,
+            "sleep sets pruned nothing ({} vs {})",
+            sequential.stats.executions,
+            plain.stats.executions,
+        );
+        for jobs in [1, 2, 3] {
+            let reduced = runner(prunable_scripts, SLEEP_DFS).run_shards(jobs);
+            assert_eq!(
+                zero_wall(reduced),
+                zero_wall(sequential.clone()),
+                "jobs={jobs}"
+            );
+        }
+    }
+
+    /// Sharded sleep sets must not prune an error only some shards can
     /// see: the deadlocking world still deadlocks under reduction.
     #[test]
     fn reduced_parallel_dfs_still_finds_errors() {
         for jobs in [1, 2, 4] {
-            let report = ParallelExplorer::new(sometimes_deadlocks, Config::fair(), jobs)
-                .run_dfs_with(Reduction::SleepSets);
+            let report = runner(sometimes_deadlocks, SLEEP_DFS).run_shards(jobs);
             assert!(
                 matches!(report.outcome, SearchOutcome::Deadlock(_)),
                 "jobs={jobs}: {:?}",
@@ -913,12 +613,14 @@ mod tests {
 
     #[test]
     fn first_error_wins_and_replays_sequentially() {
+        let sequential = Explorer::new(sometimes_deadlocks, Dfs::new(), Config::fair()).run();
         for jobs in [1, 2, 4] {
-            let report = ParallelExplorer::new(sometimes_deadlocks, Config::fair(), jobs).run_dfs();
+            let report = runner(sometimes_deadlocks, DFS).run_shards(jobs);
+            assert_eq!(zero_wall(report.clone()), zero_wall(sequential.clone()));
             let SearchOutcome::Deadlock(cex) = &report.outcome else {
                 panic!("jobs={jobs}: expected a deadlock, got {:?}", report.outcome);
             };
-            // verify_replay already ran inside the engine; check again
+            // verify_replay already ran inside the runner; check again
             // from the outside that the schedule alone pins the bug.
             let replay = Explorer::new(
                 sometimes_deadlocks,
@@ -936,7 +638,7 @@ mod tests {
     #[test]
     fn parallel_random_splits_the_execution_budget() {
         let config = Config::fair().with_max_executions(16);
-        let report = ParallelExplorer::new(two_step_scripts, config, 4).run_random(3);
+        let report = ShardRunner::new(two_step_scripts, config, Search::Random(3)).run_shards(4);
         assert_eq!(
             report.outcome,
             SearchOutcome::BudgetExhausted(BudgetKind::Executions)
@@ -944,26 +646,43 @@ mod tests {
         assert_eq!(report.stats.executions, 16, "shares must sum to the total");
     }
 
+    /// With one shard, every bound of the iterative context-bounding
+    /// sweep is the cb search the shard runner runs.
     #[test]
     fn iterative_cb_jobs_one_matches_sequential() {
-        let sequential =
-            crate::explore::iterative_context_bounding(two_step_scripts, Config::fair(), 2);
-        let parallel =
-            ParallelExplorer::new(two_step_scripts, Config::fair(), 1).run_iterative_cb(2);
-        assert_eq!(parallel.len(), sequential.len());
-        for ((bs, rs), (bp, rp)) in sequential.iter().zip(&parallel) {
-            assert_eq!(bs, bp);
-            assert_eq!(zero_wall(rs.clone()), zero_wall(rp.clone()));
+        let sweep = crate::explore::iterative_context_bounding(two_step_scripts, Config::fair(), 2);
+        assert_eq!(sweep.len(), 3);
+        for (bound, sequential) in sweep {
+            let sharded =
+                runner(two_step_scripts, Search::Cb(bound, Reduction::None)).run_shards(1);
+            assert_eq!(zero_wall(sharded), zero_wall(sequential), "cb={bound}");
         }
     }
 
+    /// At every bound, context-bounded shards, plain or reduced, merge to
+    /// the sequential search with that bound: `--jobs` never changes
+    /// which bound `cb:B` searches.
     #[test]
     fn iterative_cb_parallel_covers_every_bound() {
-        let parallel =
-            ParallelExplorer::new(two_step_scripts, Config::fair(), 3).run_iterative_cb(4);
-        let bounds: Vec<u32> = parallel.iter().map(|&(b, _)| b).collect();
-        assert_eq!(bounds, vec![0, 1, 2, 3, 4]);
-        assert!(parallel.iter().all(|(_, r)| !r.outcome.found_error()));
+        for bound in 0..=2 {
+            for reduction in [Reduction::None, Reduction::SleepSets] {
+                let strategy = match reduction {
+                    Reduction::None => ContextBounded::new(bound),
+                    Reduction::SleepSets => ContextBounded::with_sleep_sets(bound),
+                };
+                for world in [two_step_scripts, sometimes_deadlocks, prunable_scripts] {
+                    let sequential = Explorer::new(world, strategy.clone(), Config::fair()).run();
+                    for jobs in 2..=4 {
+                        let sharded = runner(world, Search::Cb(bound, reduction)).run_shards(jobs);
+                        assert_eq!(
+                            zero_wall(sharded),
+                            zero_wall(sequential.clone()),
+                            "cb={bound} {reduction:?} jobs={jobs}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A world where thread 0's second action panics: every interleaving
@@ -976,7 +695,7 @@ mod tests {
     #[test]
     fn parallel_workload_panic_is_isolated_and_replays() {
         for jobs in [1, 2, 4] {
-            let report = ParallelExplorer::new(sometimes_panics, Config::fair(), jobs).run_dfs();
+            let report = runner(sometimes_panics, DFS).run_shards(jobs);
             let SearchOutcome::Panic(cex) = &report.outcome else {
                 panic!(
                     "jobs={jobs}: expected a panic outcome, got {:?}",
@@ -985,8 +704,6 @@ mod tests {
             };
             assert_eq!(cex.message, "scripted panic");
             assert!(report.stats.panics >= 1, "jobs={jobs}");
-            // verify_replay already ran inside the engine; pin the bug
-            // again from the outside with the schedule alone.
             let replay = Explorer::new(
                 sometimes_panics,
                 FixedSchedule::new(cex.schedule.clone()),
@@ -1001,61 +718,42 @@ mod tests {
         }
     }
 
-    /// A strategy that panics in `on_execution_end` when `dies` is set —
-    /// that hook runs *outside* the explorer's per-execution panic guard,
-    /// so the panic escapes the sequential search and exercises the
-    /// worker supervisor.
-    #[derive(Clone)]
-    struct MaybeDies {
-        dies: bool,
-        inner: Dfs,
-    }
+    /// A strategy that panics in `on_execution_end` — that hook runs
+    /// *outside* the explorer's per-execution panic guard, so the panic
+    /// escapes the sequential search and exercises the supervisor.
+    struct Dies(Dfs);
 
-    impl Strategy for MaybeDies {
+    impl Strategy for Dies {
         fn pick(&mut self, point: &SchedulePoint<'_>) -> Option<Decision> {
-            self.inner.pick(point)
+            self.0.pick(point)
         }
 
         fn on_execution_end(&mut self) -> bool {
-            if self.dies {
-                panic!("strategy bug between executions");
-            }
-            self.inner.on_execution_end()
+            panic!("strategy bug between executions");
         }
 
         fn name(&self) -> String {
-            "maybe-dies".to_string()
+            "dies".to_string()
         }
     }
 
     #[test]
     fn supervisor_restarts_then_abandons_a_panicking_worker() {
-        let explorer = ParallelExplorer::new(two_step_scripts, Config::fair(), 2);
-        let healthy = MaybeDies {
-            dies: false,
-            inner: Dfs::new(),
-        };
-        let dying = MaybeDies {
-            dies: true,
-            inner: Dfs::new(),
-        };
-        let report = explorer.run_workers(
-            Instant::now(),
-            vec![(healthy, Config::fair()), (dying, Config::fair())],
+        let report = supervise(
+            &two_step_scripts,
+            || Dies(Dfs::new()),
+            &Config::fair(),
+            &[],
+            None,
         );
-        // The dying worker was restarted up to the cap, then abandoned;
-        // the healthy worker's full result was still harvested.
         assert_eq!(
             report.outcome,
             SearchOutcome::BudgetExhausted(BudgetKind::WorkerPanicked)
         );
         assert_eq!(report.stats.worker_restarts, MAX_WORKER_RESTARTS);
-        let sequential = Explorer::new(two_step_scripts, Dfs::new(), Config::fair()).run();
-        assert_eq!(report.stats.executions, sequential.stats.executions);
         // Every failed attempt completed one execution before dying in
         // `on_execution_end`; the supervisor harvests those boundary
-        // totals instead of dropping them (initial try + each restart,
-        // plus the final abandoned attempt).
+        // totals instead of dropping them (initial try + each restart).
         assert_eq!(report.stats.lost_to_restart, MAX_WORKER_RESTARTS + 1);
     }
 
@@ -1065,6 +763,19 @@ mod tests {
         assert!(!report.outcome.found_error());
         assert!(!report.outcome.is_exhaustive_pass());
         assert!(report.to_string().contains("worker lost"));
+    }
+
+    #[test]
+    fn external_stop_cancels_every_shard() {
+        let stop = Arc::new(AtomicBool::new(true));
+        let report = runner(two_step_scripts, DFS)
+            .with_stop_flag(stop)
+            .run_shards(3);
+        assert_eq!(
+            report.outcome,
+            SearchOutcome::BudgetExhausted(BudgetKind::Cancelled)
+        );
+        assert_eq!(report.stats.executions, 0);
     }
 
     #[test]
@@ -1084,21 +795,22 @@ mod tests {
     }
 
     /// The acceptance property of the daemon's sharded `check`: running
-    /// every contiguous DFS shard independently and merging the reports
+    /// every contiguous shard independently and merging the reports
     /// reproduces the sequential report exactly (wall clock aside).
     #[test]
     fn merged_dfs_shards_equal_the_sequential_report() {
-        let config = Config::fair();
-        let sequential = Explorer::new(two_step_scripts, Dfs::new(), config.clone()).run();
-        for of in [1, 2, 3, 4, 7] {
-            let shards: Vec<SearchReport> = (0..of)
-                .map(|index| {
-                    ParallelExplorer::new(two_step_scripts, config.clone(), 1)
-                        .run_dfs_shard(ShardSpec::new(index, of).unwrap())
-                })
-                .collect();
-            let merged = merge_contiguous_shards(&shards);
-            assert_eq!(zero_wall(merged), zero_wall(sequential.clone()), "of={of}");
+        for search in [DFS, SLEEP_DFS] {
+            let sequential = runner(two_step_scripts, search).run_shard(ShardSpec::WHOLE);
+            for of in [1, 2, 3, 4, 7] {
+                let shards: Vec<SearchReport> = (0..of)
+                    .map(|index| {
+                        runner(two_step_scripts, search)
+                            .run_shard(ShardSpec::new(index, of).unwrap())
+                    })
+                    .collect();
+                let merged = search.merge(&shards);
+                assert_eq!(zero_wall(merged), zero_wall(sequential.clone()), "of={of}");
+            }
         }
     }
 
@@ -1107,14 +819,12 @@ mod tests {
     /// when the error lives in a later shard.
     #[test]
     fn merged_dfs_shards_rebase_the_error_execution() {
-        let config = Config::fair();
-        let sequential = Explorer::new(sometimes_deadlocks, Dfs::new(), config.clone()).run();
+        let sequential = Explorer::new(sometimes_deadlocks, Dfs::new(), Config::fair()).run();
         assert!(matches!(sequential.outcome, SearchOutcome::Deadlock(_)));
         for of in [1, 2, 3, 5] {
             let shards: Vec<SearchReport> = (0..of)
                 .map(|index| {
-                    ParallelExplorer::new(sometimes_deadlocks, config.clone(), 1)
-                        .run_dfs_shard(ShardSpec::new(index, of).unwrap())
+                    runner(sometimes_deadlocks, DFS).run_shard(ShardSpec::new(index, of).unwrap())
                 })
                 .collect();
             let merged = merge_contiguous_shards(&shards);
@@ -1122,33 +832,26 @@ mod tests {
         }
     }
 
-    /// Merged seed shards reproduce the in-process parallel random walk:
-    /// same budget split, same seeds, same totals.
+    /// Merged seed shards run one at a time reproduce the threaded
+    /// random walk: same budget split, same seeds, same totals.
     #[test]
     fn merged_seed_shards_match_the_parallel_random_walk() {
         let config = Config::fair().with_max_executions(16);
         let of = 4;
-        let parallel = ParallelExplorer::new(two_step_scripts, config.clone(), of).run_random(3);
+        let random = ShardRunner::new(two_step_scripts, config, Search::Random(3));
         let shards: Vec<SearchReport> = (0..of)
-            .map(|index| {
-                ParallelExplorer::new(two_step_scripts, config.clone(), 1)
-                    .run_random_shard(3, ShardSpec::new(index, of).unwrap())
-            })
+            .map(|index| random.run_shard(ShardSpec::new(index, of).unwrap()))
             .collect();
         let merged = merge_seed_shards(&shards);
-        assert_eq!(zero_wall(merged), zero_wall(parallel));
+        assert_eq!(zero_wall(merged), zero_wall(random.run_shards(of)));
     }
 
     #[test]
     fn empty_shard_slices_merge_away() {
-        // 5 roots at most in this world; 9 shards leaves some empty.
-        let config = Config::fair();
-        let sequential = Explorer::new(two_step_scripts, Dfs::new(), config.clone()).run();
+        // 2 roots in this world; 9 shards leaves most empty.
+        let sequential = Explorer::new(two_step_scripts, Dfs::new(), Config::fair()).run();
         let shards: Vec<SearchReport> = (0..9)
-            .map(|index| {
-                ParallelExplorer::new(two_step_scripts, config.clone(), 1)
-                    .run_dfs_shard(ShardSpec::new(index, 9).unwrap())
-            })
+            .map(|index| runner(two_step_scripts, DFS).run_shard(ShardSpec::new(index, 9).unwrap()))
             .collect();
         assert!(shards
             .iter()
@@ -1160,9 +863,9 @@ mod tests {
     #[test]
     fn shard_progress_is_published() {
         let progress = Arc::new(Progress::default());
-        let report = ParallelExplorer::new(two_step_scripts, Config::fair(), 1)
+        let report = runner(two_step_scripts, DFS)
             .with_progress(Arc::clone(&progress))
-            .run_dfs_shard(ShardSpec::new(0, 2).unwrap());
+            .run_shard(ShardSpec::new(0, 2).unwrap());
         assert!(report.stats.executions > 0);
         assert_eq!(
             progress.executions.load(Ordering::Relaxed),

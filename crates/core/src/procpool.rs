@@ -2,9 +2,9 @@
 //! *processes* with watchdog timeouts, retry with exponential backoff,
 //! and poison-job quarantine.
 //!
-//! [`ParallelExplorer`](crate::ParallelExplorer) isolates faults at the
-//! *thread* boundary: a workload panic becomes a replayable outcome and a
-//! checker panic costs one worker thread. That is not enough for a
+//! [`ShardRunner`](crate::ShardRunner) isolates faults at the *thread*
+//! boundary: a workload panic becomes a replayable outcome and a checker
+//! panic costs one shard restart. That is not enough for a
 //! checker meant to run unattended for days over real systems code — an
 //! abort, an OOM kill, a stack overflow, or an infinite loop inside a
 //! guest takes the whole process with it. This module moves the

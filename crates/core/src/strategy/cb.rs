@@ -10,6 +10,7 @@ use chess_kernel::Footprint;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::parallel::ShardSpec;
 use crate::strategy::dfs::validate_frames;
 use crate::strategy::sleep::{set_footprint, Reduction, SleepFrame};
 use crate::strategy::{FrameSnapshot, SchedulePoint, Strategy, StrategySnapshot};
@@ -48,7 +49,8 @@ struct EligScratch {
 /// thread) is explored first. Like [`crate::strategy::Dfs`], an optional
 /// horizon switches to random decisions beyond depth `db` — still
 /// respecting the preemption budget — which is the paper's unfair
-/// baseline configuration for Table 2.
+/// baseline configuration for Table 2. [`ContextBounded::sharded`]
+/// restricts the search to one slice of the root decisions.
 #[derive(Debug, Clone)]
 pub struct ContextBounded {
     bound: u32,
@@ -58,6 +60,7 @@ pub struct ContextBounded {
     rng: SmallRng,
     charge_fairness_switches: bool,
     reduction: Reduction,
+    shard: ShardSpec,
     /// Popped frames, recycled on push (see [`crate::strategy::Dfs`]).
     pool: Vec<Frame>,
     /// Buffers for the per-pick budget filter.
@@ -75,6 +78,7 @@ impl ContextBounded {
             rng: SmallRng::seed_from_u64(0x5EED),
             charge_fairness_switches: false,
             reduction: Reduction::None,
+            shard: ShardSpec::WHOLE,
             pool: Vec::new(),
             scratch: EligScratch::default(),
         }
@@ -119,6 +123,14 @@ impl ContextBounded {
         self
     }
 
+    /// Restricts the search to one shard of the depth-0 decisions, as
+    /// [`crate::strategy::Dfs::sharded`] does. A sharded search does not
+    /// support checkpointing.
+    pub fn sharded(mut self, shard: ShardSpec) -> Self {
+        self.shard = shard;
+        self
+    }
+
     /// The preemption bound.
     pub fn bound(&self) -> u32 {
         self.bound
@@ -127,6 +139,12 @@ impl ContextBounded {
     /// The active partial-order reduction.
     pub fn reduction(&self) -> Reduction {
         self.reduction
+    }
+
+    /// Whether [`Strategy::snapshot`] captures this search: neither sleep
+    /// state nor a shard slice is part of the snapshot schema.
+    fn checkpointable(&self) -> bool {
+        !self.reduction.is_on() && self.shard == ShardSpec::WHOLE
     }
 
     /// The preemption cost of a decision under this strategy's accounting.
@@ -208,7 +226,7 @@ impl Strategy for ContextBounded {
             let mut frame = self.pool.pop().unwrap_or_default();
             std::mem::swap(&mut frame.options, &mut scratch.decisions);
             std::mem::swap(&mut frame.sleep.footprints, &mut scratch.footprints);
-            let alive = if self.reduction.is_on() {
+            let mut alive = if self.reduction.is_on() {
                 let parent = self.stack.last();
                 frame.sleep.rederive(
                     &frame.options,
@@ -219,14 +237,19 @@ impl Strategy for ContextBounded {
                 frame.sleep.make_inert(frame.options.len());
                 true
             };
+            if point.depth == 0 {
+                alive &= frame
+                    .sleep
+                    .restrict(self.shard.range(frame.sleep.live.len()));
+            }
             if alive {
                 let first = frame.current();
                 self.stack.push(frame);
                 Some(first)
             } else {
-                // Every affordable option is asleep — covered by an
-                // equivalent reordering elsewhere. Abandon without
-                // pushing a frame.
+                // Every affordable option is asleep (or outside the
+                // shard's slice) — covered by executions explored
+                // elsewhere. Abandon without pushing a frame.
                 self.pool.push(frame);
                 None
             }
@@ -265,7 +288,7 @@ impl Strategy for ContextBounded {
     }
 
     fn snapshot(&self) -> Option<StrategySnapshot> {
-        if self.reduction.is_on() {
+        if !self.checkpointable() {
             return None;
         }
         Some(StrategySnapshot::Cb {
@@ -286,8 +309,10 @@ impl Strategy for ContextBounded {
     }
 
     fn restore(&mut self, snapshot: &StrategySnapshot) -> Result<(), String> {
-        if self.reduction.is_on() {
-            return Err("a sleep-set reduced search cannot be resumed from a snapshot".to_string());
+        if !self.checkpointable() {
+            return Err(
+                "a reduced or sharded search cannot be resumed from a snapshot".to_string(),
+            );
         }
         let StrategySnapshot::Cb {
             bound,

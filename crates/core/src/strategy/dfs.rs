@@ -9,6 +9,7 @@ use chess_kernel::Footprint;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::parallel::ShardSpec;
 use crate::strategy::sleep::{Reduction, SleepFrame};
 use crate::strategy::{FrameSnapshot, SchedulePoint, Strategy, StrategySnapshot};
 use crate::trace::Decision;
@@ -52,7 +53,8 @@ pub(crate) fn validate_frames(stack: &[FrameSnapshot]) -> Result<(), String> {
 /// with uniformly random decisions, exactly the paper's unfair baseline.
 /// With [`Dfs::with_sleep_sets`] it additionally prunes
 /// provably-equivalent reorderings of independent transitions (sleep-set
-/// partial-order reduction keyed on dependence footprints).
+/// partial-order reduction keyed on dependence footprints). With
+/// [`Dfs::sharded`] it enumerates only one slice of the root decisions.
 #[derive(Debug, Clone)]
 pub struct Dfs {
     stack: Vec<Frame>,
@@ -61,6 +63,7 @@ pub struct Dfs {
     exhausted: bool,
     prefer_continuation: bool,
     reduction: Reduction,
+    shard: ShardSpec,
     /// Popped frames, recycled on push so the steady-state search makes
     /// no per-frame allocations (options, footprints, sleep entries and
     /// their access vectors are all reused in place).
@@ -77,6 +80,7 @@ impl Dfs {
             exhausted: false,
             prefer_continuation: false,
             reduction: Reduction::None,
+            shard: ShardSpec::WHOLE,
             pool: Vec::new(),
         }
     }
@@ -121,9 +125,25 @@ impl Dfs {
         self
     }
 
+    /// Restricts the search to one shard: the slice `shard.range(n)` of
+    /// the `n` depth-0 decisions (see [`crate::ShardRunner`]). The search
+    /// visits exactly the executions the unsharded search visits under
+    /// those roots, in the same order and with the same sleep sets. A
+    /// sharded search does not support checkpointing.
+    pub fn sharded(mut self, shard: ShardSpec) -> Self {
+        self.shard = shard;
+        self
+    }
+
     /// The active partial-order reduction.
     pub fn reduction(&self) -> Reduction {
         self.reduction
+    }
+
+    /// Whether [`Strategy::snapshot`] captures this search: neither sleep
+    /// state nor a shard slice is part of the snapshot schema.
+    fn checkpointable(&self) -> bool {
+        !self.reduction.is_on() && self.shard == ShardSpec::WHOLE
     }
 
     /// The deterministic exploration ordering of a point's options, with
@@ -213,7 +233,7 @@ impl Strategy for Dfs {
                 &mut frame.options,
                 &mut frame.sleep.footprints,
             );
-            let alive = if self.reduction.is_on() {
+            let mut alive = if self.reduction.is_on() {
                 let parent = self.stack.last();
                 frame.sleep.rederive(
                     &frame.options,
@@ -224,11 +244,16 @@ impl Strategy for Dfs {
                 frame.sleep.make_inert(frame.options.len());
                 true
             };
+            if point.depth == 0 {
+                alive &= frame
+                    .sleep
+                    .restrict(self.shard.range(frame.sleep.live.len()));
+            }
             if !alive {
-                // Every option is asleep — the node is covered by an
-                // equivalent reordering explored elsewhere. Abandon
-                // without pushing a frame; on_execution_end backtracks
-                // the parent.
+                // Every option is asleep (or outside the shard's slice) —
+                // the node is covered by executions explored elsewhere.
+                // Abandon without pushing a frame; on_execution_end
+                // backtracks the parent.
                 self.pool.push(frame);
                 return None;
             }
@@ -267,10 +292,7 @@ impl Strategy for Dfs {
     }
 
     fn snapshot(&self) -> Option<StrategySnapshot> {
-        if self.reduction.is_on() {
-            // Sleep state (footprints, live permutations) is not part of
-            // the serialized snapshot schema; a reduced search is not
-            // checkpointable.
+        if !self.checkpointable() {
             return None;
         }
         Some(StrategySnapshot::Dfs {
@@ -289,8 +311,10 @@ impl Strategy for Dfs {
     }
 
     fn restore(&mut self, snapshot: &StrategySnapshot) -> Result<(), String> {
-        if self.reduction.is_on() {
-            return Err("a sleep-set reduced search cannot be resumed from a snapshot".to_string());
+        if !self.checkpointable() {
+            return Err(
+                "a reduced or sharded search cannot be resumed from a snapshot".to_string(),
+            );
         }
         let StrategySnapshot::Dfs {
             stack,

@@ -215,6 +215,17 @@ impl SleepFrame {
         !self.live.is_empty()
     }
 
+    /// Narrows a root frame to the slice `range` of its live options, as
+    /// a sharded search does: the options before the slice count as
+    /// already explored (they enter the children's sleep sets exactly as
+    /// in the unsharded search) and those after it are dropped. Returns
+    /// `false` when the slice is empty.
+    pub fn restrict(&mut self, range: std::ops::Range<usize>) -> bool {
+        self.live.truncate(range.end);
+        self.cursor = range.start;
+        !range.is_empty()
+    }
+
     /// The sleep set for the child reached by this frame's current edge,
     /// written into `out[..n]` (slots reused, caller truncates):
     /// surviving inherited entries plus already-explored independent

@@ -8,22 +8,17 @@
 //! runner maps those onto [`chess_core::ShardSpec`]. The merge then
 //! leans on the core guarantees:
 //!
-//! - `dfs` (no reduction, no horizon): shards are contiguous slices of
-//!   the root decision frontier, so
+//! - `dfs` and `cb:<B>`, reduced or not: shards are contiguous slices
+//!   of the root decision frontier, so
 //!   [`chess_core::merge_contiguous_shards`] reproduces the sequential
 //!   report **byte-for-byte** — same outcome, same counterexample
 //!   execution index, same stats line.
 //! - `random:<seed>`: shards are a deterministic seed/budget split
 //!   (walker `i` uses `seed + i` and its slice of the execution
 //!   budget), merged with [`chess_core::merge_seed_shards`]. The result
-//!   is deterministic and matches the in-process `--jobs K` random
-//!   walk, but is *not* the sequential single-walker report.
-//!
-//! `cb:<B>` and `--reduce` searches are rejected at expansion time:
-//! context-bound and sleep-set state is path-dependent, so slicing the
-//! root frontier changes what the inner strategy sees and the merged
-//! report would not equal the unsharded one. Rejecting loudly beats
-//! merging wrongly.
+//!   is deterministic and reaches the outcome of the in-process
+//!   `--jobs K` random walk, but is *not* the sequential single-walker
+//!   report.
 
 use chess_bench::Json;
 use chess_core::procpool::JobSpec;
@@ -38,24 +33,13 @@ pub const SHARD_SEP: char = '#';
 /// low enough that a typo (`"shards": 100000`) fails fast.
 pub const MAX_SHARDS: usize = 256;
 
-/// How a sharded job's reports recombine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeKind {
-    /// Contiguous root slices; merge is byte-identical to sequential.
-    Dfs,
-    /// Seed/budget split; merge is deterministic but seed-split.
-    Random,
-}
-
 /// How many shards a job asks for (1 = unsharded), with validation.
 ///
 /// # Errors
 ///
 /// Rejects `shards` outside `1..=MAX_SHARDS` and — for actual splits —
-/// job shapes whose merge would not be deterministic: non-`check`
-/// kinds, `cb:<B>` strategies, reduced searches, and explicit
-/// `shard_index`/`shard_of` fields (those are expansion outputs, not
-/// manifest inputs).
+/// non-`check` kinds and explicit `shard_index`/`shard_of` fields (those
+/// are expansion outputs, not manifest inputs).
 pub fn shard_count(job: &Json) -> Result<usize, String> {
     let Some(n) = job.get("shards") else {
         return Ok(1);
@@ -65,34 +49,25 @@ pub fn shard_count(job: &Json) -> Result<usize, String> {
         return Err(format!("\"shards\" must be in 1..={MAX_SHARDS}, got {n}"));
     }
     if n > 1 {
-        merge_kind(job)?;
+        let kind = job.get("kind").and_then(Json::as_str).unwrap_or("check");
+        if kind != "check" {
+            return Err(format!("only check jobs shard, not kind '{kind}'"));
+        }
+        if job.get("shard_index").is_some() || job.get("shard_of").is_some() {
+            return Err("shard_index/shard_of are internal fields; use \"shards\"".to_string());
+        }
     }
     Ok(n)
 }
 
-/// Classifies the job's merge, rejecting unshardable shapes.
-fn merge_kind(job: &Json) -> Result<MergeKind, String> {
-    let kind = job.get("kind").and_then(Json::as_str).unwrap_or("check");
-    if kind != "check" {
-        return Err(format!("only check jobs shard, not kind '{kind}'"));
-    }
-    if job.get("shard_index").is_some() || job.get("shard_of").is_some() {
-        return Err("shard_index/shard_of are internal fields; use \"shards\"".to_string());
-    }
-    if job.get("reduce").and_then(Json::as_bool) == Some(true) {
-        return Err("a reduced search cannot shard: sleep sets depend on the \
-             whole exploration order, so the merged report would not \
-             equal the unsharded one"
-            .to_string());
-    }
-    match job.get("strategy").and_then(Json::as_str).unwrap_or("dfs") {
-        "dfs" => Ok(MergeKind::Dfs),
-        s if s.starts_with("random:") => Ok(MergeKind::Random),
-        s => Err(format!(
-            "strategy '{s}' cannot shard: context-bound state is \
-             path-dependent, so root slices would not merge to the \
-             sequential report (shardable: dfs, random:<seed>)"
-        )),
+/// Merges a job's shard reports: random walks by seed split, every
+/// other search by contiguous root slices.
+fn merge_reports(job: &Json, reports: &[SearchReport]) -> SearchReport {
+    let strategy = job.get("strategy").and_then(Json::as_str).unwrap_or("dfs");
+    if strategy.starts_with("random:") {
+        merge_seed_shards(reports)
+    } else {
+        merge_contiguous_shards(reports)
     }
 }
 
@@ -174,7 +149,6 @@ pub fn merge_verdicts(manifest: &Manifest, verdicts: &[Verdict]) -> Result<Vec<V
             out.push((*v).clone());
             continue;
         }
-        let kind = merge_kind(&json).map_err(|e| format!("job {:?}: {e}", job.id))?;
         let mut parts = Vec::with_capacity(shards);
         for index in 0..shards {
             let id = format!("{}{SHARD_SEP}{index}", job.id);
@@ -183,7 +157,7 @@ pub fn merge_verdicts(manifest: &Manifest, verdicts: &[Verdict]) -> Result<Vec<V
                 .ok_or_else(|| format!("internal: shard {id:?} has no verdict"))?;
             parts.push((index, *v));
         }
-        out.push(merge_shard_verdicts(&job.id, kind, &parts)?);
+        out.push(merge_shard_verdicts(&job.id, &json, &parts)?);
     }
     Ok(out)
 }
@@ -191,7 +165,7 @@ pub fn merge_verdicts(manifest: &Manifest, verdicts: &[Verdict]) -> Result<Vec<V
 /// Merges one job's shard verdicts (all of them, in index order).
 fn merge_shard_verdicts(
     id: &str,
-    kind: MergeKind,
+    job: &Json,
     parts: &[(usize, &Verdict)],
 ) -> Result<Verdict, String> {
     let attempts = parts.iter().map(|(_, v)| v.attempts).max().unwrap_or(1);
@@ -219,10 +193,7 @@ fn merge_shard_verdicts(
             outcome: VerdictOutcome::Quarantined { failures },
         });
     }
-    let merged = match kind {
-        MergeKind::Dfs => merge_contiguous_shards(&reports),
-        MergeKind::Random => merge_seed_shards(&reports),
-    };
+    let merged = merge_reports(job, &reports);
     let result = JobResult {
         code: merged.outcome.exit_code(),
         line: merged.deterministic_line(),
@@ -307,18 +278,16 @@ mod tests {
         check(r#"{"id": "x", "shards": 0}"#, "1..=");
         check(r#"{"id": "x", "shards": 1000}"#, "1..=");
         check(r#"{"id": "x", "shards": 2, "kind": "fuzz"}"#, "only check");
-        check(r#"{"id": "x", "shards": 2, "reduce": true}"#, "reduced");
-        check(r#"{"id": "x", "shards": 2, "strategy": "cb:2"}"#, "cb:2");
         check(
             r#"{"id": "x", "shards": 2, "shard_index": 0}"#,
             "internal fields",
         );
-        // Shardable shapes parse clean.
+        // Every check search shards, reduced or not.
         for ok in [
             r#"{"id": "x", "shards": 2}"#,
             r#"{"id": "x", "shards": 2, "strategy": "dfs"}"#,
             r#"{"id": "x", "shards": 2, "strategy": "random:7"}"#,
-            r#"{"id": "x", "strategy": "cb:2"}"#, // unsharded cb is fine
+            r#"{"id": "x", "shards": 2, "strategy": "cb:2", "reduce": true}"#,
         ] {
             assert!(shard_count(&Json::parse(ok).unwrap()).is_ok(), "{ok}");
         }

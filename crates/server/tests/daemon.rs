@@ -226,7 +226,7 @@ fn malformed_requests_get_structured_errors_not_hangups() {
         r#"{"v": 99, "op": "status"}"#,
         r#"{"v": 1, "op": "explode"}"#,
         r#"{"v": 1, "op": "submit", "manifest": {"jobs": [{"id": "a b"}]}}"#,
-        r#"{"v": 1, "op": "submit", "manifest": {"jobs": [{"id": "x", "shards": 2, "strategy": "cb:2"}]}}"#,
+        r#"{"v": 1, "op": "submit", "manifest": {"jobs": [{"id": "x", "shards": 2, "kind": "fuzz"}]}}"#,
     ] {
         let response = exchange(bad);
         assert_eq!(

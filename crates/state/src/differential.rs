@@ -13,13 +13,13 @@
 //! | `violation-missed` / `violation-phantom` | Thm 3 | same for safety violations |
 //! | `livelock-missed` / `livelock-phantom` | Thm 6 | fair cycles are found iff the graph has a fair SCC |
 //! | `unrolling-bound` | Thm 4 | no program state recurs unboundedly within one execution |
-//! | `error-pass-disagrees` | — | the stop-at-first-error pass agrees with the counting pass |
+//! | `error-pass-disagrees` | — | the stop-at-first-error pass agrees with the counting pass, and 2-shard DFS reproduces the error pass |
 //! | `replay-*` | — | counterexamples replay deterministically and land on real graph states |
 //! | `sleep-verdict` | — | sleep-set DFS reports the same verdict class as unreduced DFS |
 //! | `sleep-executions` | — | sleep-set DFS explores a subset (never more executions) |
 //! | `sleep-coverage` | Thm 5 | on violation-free systems the reduced search still covers every yield-free-reachable state |
 //! | `sleep-terminal-states` | — | on error-free systems both searches reach exactly the same terminal states |
-//! | `sleep-parallel-agreement` | — | reduced parallel DFS agrees on error existence |
+//! | `sleep-parallel-agreement` | — | 2-shard sleep-set DFS reproduces the sleep-set counting pass |
 //!
 //! The `sleep-*` oracles run only when [`OracleLimits::reduce`] is set:
 //! they add a third counting pass with [`Dfs::with_sleep_sets`] and
@@ -34,12 +34,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use chess_core::minimize::{minimize_schedule, reproduces, OutcomeKind};
 use chess_core::strategy::{Dfs, FixedSchedule};
 use chess_core::{
-    replay, Config, Explorer, Observer, ParallelExplorer, Progress, Schedule, SearchOutcome,
-    SystemStatus, TransitionSystem,
+    replay, Config, Explorer, Observer, Progress, Reduction, Schedule, Search, SearchOutcome,
+    SearchReport, ShardRunner, SystemStatus, TransitionSystem,
 };
 
 use crate::coverage::CoverageTracker;
@@ -56,9 +57,9 @@ pub struct OracleLimits {
     pub max_executions: u64,
     /// Per-execution depth bound for the stateless passes.
     pub depth_bound: usize,
-    /// Also re-run error detection through a 2-worker
-    /// [`ParallelExplorer`] DFS and require it to agree on whether an
-    /// error exists.
+    /// Also re-run the error pass (and, with [`OracleLimits::reduce`],
+    /// the sleep-set counting pass) as a 2-shard [`ShardRunner`] DFS and
+    /// require the merged report to equal the sequential one.
     pub parallel_cross_check: bool,
     /// Run the `sleep-*` oracles: a third counting pass with sleep-set
     /// DFS must report the same verdict class as the unreduced pass while
@@ -175,6 +176,29 @@ impl<P: TransitionSystem + ?Sized> Observer<P> for DifferentialObserver {
     }
 }
 
+/// How a 2-shard report differs from the sequential pass it splits,
+/// wall clock aside. Shards spend their execution budget each, so only a
+/// sequential pass that fit its budget is comparable — which every pass
+/// reaching this check does, since each explores no more than the
+/// counting pass that fit.
+fn shard_disagreement(sequential: &SearchReport, sharded: &SearchReport) -> Option<String> {
+    if matches!(sequential.outcome, SearchOutcome::BudgetExhausted(_)) {
+        return None;
+    }
+    let zero_wall = |r: &SearchReport| {
+        let mut r = r.clone();
+        r.stats.wall = Duration::ZERO;
+        r
+    };
+    (zero_wall(sharded) != zero_wall(sequential)).then(|| {
+        format!(
+            "2-shard DFS reported {:?}, the sequential pass {:?}",
+            zero_wall(sharded),
+            zero_wall(sequential)
+        )
+    })
+}
+
 /// Runs the full differential check of one program.
 ///
 /// `factory` must produce identical fresh instances on every call (the
@@ -193,9 +217,8 @@ where
 /// build ticks `progress.transitions` per interned state and every
 /// sequential stateless pass publishes its execution counters, so a
 /// watchdog keyed on [`Progress::tick`] (the campaign runner's
-/// heartbeat gate) sees a slow-but-live check advancing. The parallel
-/// cross-check keeps its own private counters (its supervision loop
-/// harvests them per attempt), so callers needing a pulse through
+/// heartbeat gate) sees a slow-but-live check advancing. The sharded
+/// cross-check publishes nothing, so callers needing a pulse through
 /// every phase should disable it via
 /// [`OracleLimits::parallel_cross_check`].
 pub fn differential_check_with_progress<P, F>(
@@ -264,9 +287,9 @@ where
     // of the executions, and on violation-free systems it must still
     // cover every yield-free-reachable state (sleep sets prune redundant
     // *transitions*; every state stays visited via the commuted path).
-    if limits.reduce {
+    let report_r = if limits.reduce {
         let mut obs_r = DifferentialObserver::new();
-        let report_r = Explorer::new(&factory, Dfs::with_sleep_sets(), config_a)
+        let report_r = Explorer::new(&factory, Dfs::with_sleep_sets(), config_a.clone())
             .with_progress(Arc::clone(progress))
             .run_observed(&mut obs_r);
         verdict.sleep_executions = report_r.stats.executions;
@@ -356,7 +379,10 @@ where
                 );
             }
         }
-    }
+        Some(report_r)
+    } else {
+        None
+    };
 
     // Oracle: soundness of visits — the stateless engine may not invent
     // states the reference cannot reach.
@@ -486,31 +512,19 @@ where
         report_a.stats.violations + report_a.stats.deadlocks + report_a.stats.divergences;
 
     if limits.parallel_cross_check {
-        let par = ParallelExplorer::new(&factory, config_b.clone(), 2).run_dfs();
-        if par.outcome.found_error() != (errors_a > 0) {
-            disc(
-                &mut verdict,
-                "error-pass-disagrees",
-                format!(
-                    "parallel DFS found_error = {}, counting pass saw {errors_a} errors",
-                    par.outcome.found_error()
-                ),
-            );
+        // Sharding splits the root frontier without changing the search:
+        // the merged 2-shard report must be the sequential one.
+        let sharded = |reduction, config: &Config| {
+            ShardRunner::new(&factory, config.clone(), Search::Dfs(reduction)).run_shards(2)
+        };
+        let par = sharded(Reduction::None, &config_b);
+        if let Some(detail) = shard_disagreement(&report_b, &par) {
+            disc(&mut verdict, "error-pass-disagrees", detail);
         }
-        if limits.reduce {
-            // Per-shard sleep sets compose with root partitioning; the
-            // reduced parallel search must agree on error existence.
-            let red = ParallelExplorer::new(&factory, config_b.clone(), 2)
-                .run_dfs_with(chess_core::Reduction::SleepSets);
-            if red.outcome.found_error() != (errors_a > 0) {
-                disc(
-                    &mut verdict,
-                    "sleep-parallel-agreement",
-                    format!(
-                        "reduced parallel DFS found_error = {}, counting pass saw {errors_a} errors",
-                        red.outcome.found_error()
-                    ),
-                );
+        if let Some(report_r) = &report_r {
+            let red = sharded(Reduction::SleepSets, &config_a);
+            if let Some(detail) = shard_disagreement(report_r, &red) {
+                disc(&mut verdict, "sleep-parallel-agreement", detail);
             }
         }
     }

@@ -1,14 +1,16 @@
-//! The parallel engine must preserve sequential semantics: one worker is
-//! *identical* to the sequential explorer, partitioned DFS covers the
-//! tree exactly once, and every error found in parallel replays
+//! The shard runner must preserve sequential semantics: one shard is
+//! *identical* to the sequential explorer, sharded DFS covers the tree
+//! exactly once, and every error found by a shard replays
 //! deterministically through the sequential explorer.
 
 use std::time::Duration;
 
 use chess_core::strategy::{Dfs, FixedSchedule, RandomWalk};
-use chess_core::{Config, Explorer, ParallelExplorer, SearchOutcome, SearchReport};
+use chess_core::{Config, Explorer, Reduction, Search, SearchOutcome, SearchReport, ShardRunner};
 use chess_kernel::{Effects, GuestThread, Kernel, OpDesc, OpResult, StateWriter};
 use chess_workloads::simple::racy_counter;
+
+const DFS: Search = Search::Dfs(Reduction::None);
 
 fn zero_wall(mut r: SearchReport) -> SearchReport {
     r.stats.wall = Duration::ZERO;
@@ -53,14 +55,14 @@ fn two_step() -> Kernel<()> {
 fn jobs_one_random_is_identical_to_sequential() {
     let config = Config::fair().with_max_executions(64);
     let sequential = Explorer::new(|| racy_counter(2), RandomWalk::new(9), config.clone()).run();
-    let parallel = ParallelExplorer::new(|| racy_counter(2), config, 1).run_random(9);
+    let parallel = ShardRunner::new(|| racy_counter(2), config, Search::Random(9)).run_shards(1);
     assert_eq!(zero_wall(parallel), zero_wall(sequential));
 }
 
 #[test]
 fn jobs_one_dfs_is_identical_to_sequential() {
     let sequential = Explorer::new(two_step, Dfs::new(), Config::fair()).run();
-    let parallel = ParallelExplorer::new(two_step, Config::fair(), 1).run_dfs();
+    let parallel = ShardRunner::new(two_step, Config::fair(), DFS).run_shards(1);
     assert_eq!(zero_wall(parallel), zero_wall(sequential));
 }
 
@@ -68,7 +70,8 @@ fn jobs_one_dfs_is_identical_to_sequential() {
 /// schedule that replays to the same violation sequentially.
 #[test]
 fn planted_failure_under_four_workers_replays_sequentially() {
-    let report = ParallelExplorer::new(|| racy_counter(2), Config::fair(), 4).run_random(1);
+    let report =
+        ShardRunner::new(|| racy_counter(2), Config::fair(), Search::Random(1)).run_shards(4);
     let SearchOutcome::SafetyViolation(cex) = &report.outcome else {
         panic!("expected the lost update, got {:?}", report.outcome);
     };
@@ -88,20 +91,18 @@ fn planted_failure_under_four_workers_replays_sequentially() {
     assert_eq!(replayed.schedule, cex.schedule);
 }
 
-/// Partitioned DFS over an acyclic program visits exactly the sequential
-/// execution count — a partition of the tree, no duplicates, no gaps.
+/// Sharded DFS over an acyclic program is the sequential search — a
+/// partition of the tree, no duplicates, no gaps.
 #[test]
 fn parallel_dfs_matches_sequential_execution_count() {
     let sequential = Explorer::new(two_step, Dfs::new(), Config::fair()).run();
     assert_eq!(sequential.stats.executions, 3);
     for jobs in [2, 3, 8] {
-        let parallel = ParallelExplorer::new(two_step, Config::fair(), jobs).run_dfs();
-        assert_eq!(parallel.outcome, SearchOutcome::Complete, "jobs={jobs}");
+        let parallel = ShardRunner::new(two_step, Config::fair(), DFS).run_shards(jobs);
         assert_eq!(
-            parallel.stats.executions, sequential.stats.executions,
+            zero_wall(parallel),
+            zero_wall(sequential.clone()),
             "jobs={jobs}"
         );
-        assert_eq!(parallel.stats.transitions, sequential.stats.transitions);
-        assert_eq!(parallel.stats.terminating, sequential.stats.terminating);
     }
 }

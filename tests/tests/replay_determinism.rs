@@ -4,8 +4,8 @@
 
 use chess_core::strategy::{FixedSchedule, RandomWalk};
 use chess_core::{
-    generate_system, replay, Config, Explorer, FuzzConfig, FuzzOp, FuzzSystem, ParallelExplorer,
-    Schedule, SearchOutcome, SystemStatus, TransitionSystem,
+    generate_system, replay, Config, Explorer, FuzzConfig, FuzzOp, FuzzSystem, Reduction, Schedule,
+    Search, SearchOutcome, ShardRunner, SystemStatus, TransitionSystem,
 };
 use chess_workloads::channels::{fifo_pipeline, FifoConfig};
 use chess_workloads::miniboot::{miniboot, BootConfig};
@@ -143,10 +143,10 @@ where
 }
 
 /// A fuzzer-generated system with an injected safety bug found through
-/// each of the three parallel shard modes (DFS frontier partitioning,
-/// sharded random walks, iterative context bounding): every mode's
-/// counterexample replays byte-identically twice through
-/// [`FixedSchedule`], and the explorer reproduces the same outcome.
+/// each of the shard runner's searches (DFS and context-bounded root
+/// slices, seed-sharded random walks): every search's counterexample
+/// replays byte-identically twice through [`FixedSchedule`], and the
+/// explorer reproduces the same outcome.
 #[test]
 fn fuzzer_counterexamples_replay_across_parallel_modes() {
     let config = FuzzConfig {
@@ -157,19 +157,15 @@ fn fuzzer_counterexamples_replay_across_parallel_modes() {
     let sys = generate_system(&config);
     let search = Config::fair().with_depth_bound(10_000);
 
-    let parallel = ParallelExplorer::new(|| sys.clone(), search.clone(), 2);
+    let sharded = |s| {
+        ShardRunner::new(|| sys.clone(), search.clone(), s)
+            .run_shards(2)
+            .outcome
+    };
     let outcomes = [
-        ("dfs", parallel.run_dfs().outcome),
-        ("random", parallel.run_random(7).outcome),
-        (
-            "iterative-cb",
-            parallel
-                .run_iterative_cb(4)
-                .into_iter()
-                .map(|(_, r)| r.outcome)
-                .find(|o| o.found_error())
-                .expect("some context bound finds the injected bug"),
-        ),
+        ("dfs", sharded(Search::Dfs(Reduction::None))),
+        ("random", sharded(Search::Random(7))),
+        ("cb", sharded(Search::Cb(4, Reduction::None))),
     ];
     for (mode, outcome) in outcomes {
         let SearchOutcome::SafetyViolation(cex) = outcome else {
