@@ -1,7 +1,10 @@
 //! The stateless explorer: repeatedly executes the program under the
 //! control of a strategy (and optionally the fair scheduler), re-creating
-//! the program from a factory for every execution — no program state is
-//! ever stored across executions.
+//! the program from a factory for every execution — no visited-state set
+//! is ever kept. With pooling on, a `dfs` or `cb` execution starts from a
+//! copy of a state on the prefix it shares with the previous execution
+//! (a prefix snapshot, DESIGN.md §12.4) instead of re-executing that
+//! prefix.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +52,13 @@ pub struct Progress {
     pub executions: AtomicU64,
     /// Transitions executed so far (published at execution boundaries).
     pub transitions: AtomicU64,
+    /// Transitions counted in `transitions` that were not re-executed
+    /// because their execution resumed from a prefix snapshot (see
+    /// [`Config::pooling`]). Kept out of [`SearchStats`] so reports do
+    /// not depend on whether snapshots applied.
+    pub steps_skipped: AtomicU64,
+    /// Prefix snapshots taken so far.
+    pub snapshots: AtomicU64,
 }
 
 impl Progress {
@@ -116,9 +126,12 @@ pub struct Config {
     /// depth-bound hit is classified as a good-samaritan suspect.
     pub gs_threshold: u64,
     /// Reuse the previous execution's system allocations when building
-    /// the next one (see [`TransitionSystem::reset_from`]). On by
-    /// default; disable to force the from-scratch reference path the
-    /// equivalence tests compare against.
+    /// the next one (see [`TransitionSystem::reset_from`]), and let
+    /// [`Explorer::run`] resume executions of `dfs` and `cb` searches
+    /// from prefix snapshots instead of re-executing the prefix they
+    /// share with the previous execution. On by default; disable to
+    /// force the from-scratch reference path the equivalence tests
+    /// compare against.
     pub pooling: bool,
 }
 
@@ -263,32 +276,44 @@ pub struct Explorer<P, F, St> {
 }
 
 /// The execution-instance pool behind [`Config::pooling`]: a pristine
-/// `template` built once from the factory, plus the previous execution's
-/// instance (`spare`) awaiting a [`TransitionSystem::reset_from`].
+/// `template` built once from the factory, the previous execution's
+/// instance (`spare`) awaiting a [`TransitionSystem::reset_from`], and
+/// the system copies of the prefix snapshots.
 ///
 /// Whether the system supports pooling is learned on the first reset
 /// attempt; systems that return `false` permanently fall back to the
-/// factory. An instance the workload panicked out of is never released
-/// back into the pool — the unwind drops it, and the next execution
-/// starts from the factory again.
+/// factory and take no snapshots. An instance the workload panicked out
+/// of is never released back into the pool — the unwind drops it, and
+/// the next execution starts from a snapshot copy or the factory.
 struct SysPool<P> {
     enabled: bool,
+    /// Whether a reset has succeeded, so the system supports copies.
+    confirmed: bool,
     template: Option<P>,
     spare: Option<P>,
+    /// The system copies of the prefix snapshots, indexed by
+    /// `Snapshot::slot`.
+    snapshots: Vec<P>,
 }
 
+// The factory is passed as a trait object and these methods are kept
+// out of line: they are instantiated once per system type rather than
+// once per explorer, and no call site inlines the workload's build.
 impl<P: TransitionSystem> SysPool<P> {
     fn new(enabled: bool) -> Self {
         SysPool {
             enabled,
+            confirmed: false,
             template: None,
             spare: None,
+            snapshots: Vec::new(),
         }
     }
 
     /// A fresh-for-this-execution system: the reset spare when pooling is
     /// live, a factory product otherwise.
-    fn acquire(&mut self, factory: &mut impl FnMut() -> P) -> P {
+    #[inline(never)]
+    fn acquire(&mut self, factory: &mut dyn FnMut() -> P) -> P {
         if !self.enabled {
             return factory();
         }
@@ -299,6 +324,7 @@ impl<P: TransitionSystem> SysPool<P> {
         match self.spare.take() {
             Some(mut sys) => {
                 if sys.reset_from(template) {
+                    self.confirmed = true;
                     sys
                 } else {
                     self.enabled = false;
@@ -308,6 +334,25 @@ impl<P: TransitionSystem> SysPool<P> {
             }
             None => factory(),
         }
+    }
+
+    /// Copies `sys` into snapshot slot `slot` (at most one past the last).
+    #[inline(never)]
+    fn save(&mut self, factory: &mut dyn FnMut() -> P, slot: usize, sys: &P) {
+        if slot == self.snapshots.len() {
+            self.snapshots.push(factory());
+        }
+        let copied = self.snapshots[slot].reset_from(sys);
+        assert!(copied, "reset_from succeeded before, so it must now");
+    }
+
+    /// A copy of snapshot slot `slot`'s system, built in the spare.
+    #[inline(never)]
+    fn restore(&mut self, factory: &mut dyn FnMut() -> P, slot: usize) -> P {
+        let mut sys = self.spare.take().unwrap_or_else(factory);
+        let copied = sys.reset_from(&self.snapshots[slot]);
+        assert!(copied, "reset_from succeeded before, so it must now");
+        sys
     }
 
     /// Returns a completed execution's instance to the pool.
@@ -341,17 +386,180 @@ impl std::hash::Hasher for FpHasher {
 
 type FpBuildHasher = std::hash::BuildHasherDefault<FpHasher>;
 
+/// The explorer's state within one execution, besides the system and
+/// the cycle map: what a prefix snapshot saves and restores.
+#[derive(Default)]
+struct ExecState {
+    depth: usize,
+    /// The last program thread scheduled (flush lanes excluded).
+    prev: Option<chess_kernel::ThreadId>,
+    fair: Option<FairScheduler>,
+    /// The enabled set of the current state.
+    es: TidSet,
+    /// Steps each thread has taken since its last yield, for the
+    /// good-samaritan heuristic.
+    steps_since_yield: Vec<u64>,
+    /// Live entries of `ExecScratch::es_history`.
+    hist_len: usize,
+}
+
+impl ExecState {
+    /// Copies `src` field by field, reusing every allocation.
+    fn copy_from(&mut self, src: &ExecState) {
+        self.depth = src.depth;
+        self.prev = src.prev;
+        self.fair.clone_from(&src.fair);
+        self.es.clone_from(&src.es);
+        self.steps_since_yield.clone_from(&src.steps_since_yield);
+        self.hist_len = src.hist_len;
+    }
+}
+
+/// Depth of the first prefix snapshot of an execution, and the initial
+/// spacing of later ones. Chosen by measurement (DESIGN.md §12.4).
+const SNAPSHOT_EVERY: usize = 4;
+/// Most prefix snapshots live at once (DESIGN.md §12.4).
+const MAX_SNAPSHOTS: usize = 4;
+
+/// One live prefix snapshot; its system copy is in `SysPool` slot
+/// `slot`.
+struct Snapshot {
+    slot: usize,
+    /// The spacing in force when this snapshot was the deepest.
+    every: usize,
+    st: ExecState,
+}
+
+/// The prefix-snapshot stack behind [`Config::pooling`]: the explorer's
+/// state at a few depths of the current execution's prefix, so the next
+/// execution of a `dfs` or `cb` search resumes at the deepest one inside
+/// the prefix it shares with this one ([`Strategy::replay_depth`])
+/// instead of re-executing that prefix from the initial state.
+///
+/// Snapshots are taken every `every` depths beyond the deepest live one.
+/// At most [`MAX_SNAPSHOTS`] live; a full stack keeps every other
+/// snapshot and doubles `every`. This bookkeeping is independent of the
+/// system type, so it is compiled once; only the system copies are
+/// generic.
+struct SnapshotStack {
+    /// Snapshots may apply to this search: pooling is on and no
+    /// observer needs to see the skipped states.
+    allowed: bool,
+    /// The strategy has reported a shared prefix, so snapshots pay off.
+    armed: bool,
+    /// Live snapshots, shallowest first; all lie on the prefix the next
+    /// execution shares.
+    live: Vec<Snapshot>,
+    /// Dropped snapshots, kept for their slot and buffers.
+    free: Vec<Snapshot>,
+    every: usize,
+    /// Depth of the running execution's next snapshot (`usize::MAX`:
+    /// none).
+    next: usize,
+    /// Prefix snapshots taken, for [`Progress::snapshots`].
+    taken: u64,
+    /// Transitions resumed over, for [`Progress::steps_skipped`].
+    skipped: u64,
+}
+
+impl SnapshotStack {
+    fn new(allowed: bool) -> Self {
+        SnapshotStack {
+            allowed,
+            armed: false,
+            live: Vec::new(),
+            free: Vec::new(),
+            every: SNAPSHOT_EVERY,
+            next: usize::MAX,
+            taken: 0,
+            skipped: 0,
+        }
+    }
+
+    /// The pool slot the next snapshot's system copy goes into.
+    fn next_slot(&self) -> usize {
+        self.free
+            .last()
+            .map_or(self.live.len() + self.free.len(), |s| s.slot)
+    }
+
+    /// Records a snapshot of `scratch` whose system was just saved in
+    /// slot [`SnapshotStack::next_slot`], thinning a full stack.
+    #[inline(never)]
+    fn commit(&mut self, scratch: &ExecScratch) {
+        let slot = self.next_slot();
+        let mut snap = self.free.pop().unwrap_or_else(|| Snapshot {
+            slot,
+            every: 0,
+            st: ExecState::default(),
+        });
+        snap.st.copy_from(&scratch.st);
+        self.live.push(snap);
+        self.taken += 1;
+        if self.live.len() == MAX_SNAPSHOTS {
+            // Keep the snapshots at odd positions: their depths stay
+            // evenly spaced at twice the old spacing.
+            for i in 0..MAX_SNAPSHOTS / 2 {
+                self.live.swap(i, 2 * i + 1);
+            }
+            self.free.extend(self.live.drain(MAX_SNAPSHOTS / 2..));
+            self.every *= 2;
+        }
+        let last = self.live.last_mut().expect("a snapshot was just pushed");
+        last.every = self.every;
+        self.next = last.st.depth + self.every;
+    }
+
+    /// Prepares for the next execution, whose first `replay_depth`
+    /// decisions repeat the last execution's: drops the snapshots deeper
+    /// than that.
+    #[inline(never)]
+    fn after_execution(&mut self, replay_depth: usize) {
+        if !self.allowed {
+            return;
+        }
+        self.armed |= replay_depth > 0;
+        while self.live.last().is_some_and(|s| s.st.depth > replay_depth) {
+            let dropped = self.live.pop().expect("checked non-empty");
+            self.free.push(dropped);
+        }
+        self.every = self.live.last().map_or(SNAPSHOT_EVERY, |s| s.every);
+    }
+
+    /// Starts an execution from the deepest live snapshot: restores it
+    /// into `scratch`, rolling the cycle map back to its depth, and
+    /// returns its slot. `None` means a start from the initial state.
+    #[inline(never)]
+    fn resume(&mut self, scratch: &mut ExecScratch) -> Option<usize> {
+        let snap = self.live.last()?;
+        scratch.st.copy_from(&snap.st);
+        let depth = snap.st.depth;
+        scratch.seen.retain(|_, &mut d| d <= depth);
+        self.skipped += depth as u64;
+        Some(snap.slot)
+    }
+
+    /// Schedules the running execution's first snapshot after its start
+    /// `depth`, if snapshots apply and the system supports `copies`.
+    fn arm(&mut self, depth: usize, copies: bool) {
+        self.next = if self.allowed && self.armed && copies {
+            depth + self.every
+        } else {
+            usize::MAX
+        };
+    }
+}
+
 /// Per-execution and per-step scratch buffers, hoisted out of the
 /// execution loop so one search reuses their allocations across every
 /// execution instead of re-allocating per schedule point.
 #[derive(Default)]
 struct ExecScratch {
-    steps_since_yield: Vec<u64>,
+    st: ExecState,
     seen: HashMap<u64, usize, FpBuildHasher>,
     /// Pooled per-step enabled sets for cycle classification; only the
-    /// first `hist_len` entries (managed by `one_execution`) are live.
+    /// first `st.hist_len` entries are live.
     es_history: Vec<TidSet>,
-    es: TidSet,
     es_after: TidSet,
     schedulable: TidSet,
     options: Vec<Decision>,
@@ -360,6 +568,30 @@ struct ExecScratch {
     footprints: Vec<chess_kernel::Footprint>,
     flushes: Vec<bool>,
     fp: chess_kernel::Footprint,
+}
+
+impl ExecScratch {
+    fn new(fairness: Option<FairnessConfig>) -> Self {
+        let mut scratch = ExecScratch::default();
+        scratch.st.fair = fairness.map(|fc| FairScheduler::with_k(0, fc.k).with_scope(fc.scope));
+        scratch
+    }
+
+    /// Resets the execution state for a start from the initial state of
+    /// a system with `n` threads (the enabled set is the caller's).
+    #[inline(never)]
+    fn start(&mut self, n: usize) {
+        let st = &mut self.st;
+        st.depth = 0;
+        st.prev = None;
+        st.hist_len = 0;
+        if let Some(f) = st.fair.as_mut() {
+            f.reset(n);
+        }
+        st.steps_since_yield.clear();
+        st.steps_since_yield.resize(n, 0);
+        self.seen.clear();
+    }
 }
 
 impl<P, F, St> Explorer<P, F, St>
@@ -431,10 +663,12 @@ where
 
     /// Publishes the boundary totals of `stats` into the shared progress
     /// counters, if any.
-    fn publish_progress(&self, stats: &SearchStats) {
+    fn publish_progress(&self, stats: &SearchStats, snaps: &SnapshotStack) {
         if let Some(p) = &self.progress {
             p.executions.store(stats.executions, Ordering::Relaxed);
             p.transitions.store(stats.transitions, Ordering::Relaxed);
+            p.steps_skipped.store(snaps.skipped, Ordering::Relaxed);
+            p.snapshots.store(snaps.taken, Ordering::Relaxed);
         }
     }
 
@@ -460,6 +694,7 @@ where
     /// Emits a checkpoint carrying `stats` (with up-to-date cumulative
     /// wall time) and the strategy's current position. A no-op without a
     /// sink or for non-snapshottable strategies.
+    #[inline(never)]
     fn emit_checkpoint(&mut self, stats: &SearchStats, base_wall: Duration, start: Instant) {
         let Some(sink) = self.checkpoint.as_mut() else {
             return;
@@ -475,25 +710,35 @@ where
         });
     }
 
-    /// Runs the search with no observer.
+    /// Runs the search with no observer. Executions of `dfs` and `cb`
+    /// searches resume from prefix snapshots when [`Config::pooling`] is
+    /// on; the report is the same either way.
     pub fn run(&mut self) -> SearchReport {
-        self.run_observed(&mut NullObserver)
+        self.search(&mut NullObserver, self.config.pooling)
     }
 
-    /// Runs the search, reporting every visited state to `obs`.
+    /// Runs the search, reporting every visited state to `obs`. Every
+    /// execution runs from the initial state, so `obs` sees each state
+    /// occurrence.
     pub fn run_observed(&mut self, obs: &mut dyn Observer<P>) -> SearchReport {
+        self.search(obs, false)
+    }
+
+    fn search(&mut self, obs: &mut dyn Observer<P>, snapshots: bool) -> SearchReport {
         let start = Instant::now();
         let deadline = self.config.time_budget.map(|d| start + d);
         let base_wall = self.initial_stats.wall;
         let mut stats = self.initial_stats.clone();
-        self.publish_progress(&stats);
+        let mut snaps = SnapshotStack::new(snapshots);
+        self.publish_progress(&stats, &snaps);
         // The schedule of the in-flight execution lives outside
         // `one_execution` so that it survives a workload panic: the
         // decisions pushed before the panicking step become the
-        // counterexample's replay schedule.
+        // counterexample's replay schedule. Its prefix also survives into
+        // the next execution, which resumes inside it.
         let mut schedule_buf: Vec<Decision> = Vec::new();
         let mut pool = SysPool::new(self.config.pooling);
-        let mut scratch = ExecScratch::default();
+        let mut scratch = ExecScratch::new(self.config.fairness);
         let outcome = loop {
             if let Some(max) = self.config.max_executions {
                 if stats.executions >= max {
@@ -514,14 +759,13 @@ where
             // partial execution back so resume re-runs it whole.
             let boundary = stats.clone();
             stats.executions += 1;
-            schedule_buf.clear();
             let caught = crate::panics::catch_silent(|| {
                 self.one_execution(
                     obs,
                     &mut stats,
                     deadline,
                     &mut schedule_buf,
-                    &mut pool,
+                    (&mut pool, &mut snaps),
                     &mut scratch,
                 )
             });
@@ -538,7 +782,7 @@ where
                     ExecEnd::Error(SearchOutcome::Panic(Counterexample {
                         kind: CounterexampleKind::Panic,
                         message,
-                        schedule: std::mem::take(&mut schedule_buf),
+                        schedule: error_schedule(self.config.stop_on_error, &mut schedule_buf),
                         execution: stats.executions,
                     }))
                 }
@@ -546,8 +790,8 @@ where
             // Publish before the strategy callbacks below run: if one of
             // them panics and kills the attempt, the supervisor can still
             // harvest everything up to and including this execution.
-            self.publish_progress(&stats);
-            match end {
+            self.publish_progress(&stats, &snaps);
+            let more = match end {
                 ExecEnd::Error(outcome) => {
                     if stats.first_error_execution.is_none() {
                         stats.first_error_execution = Some(stats.executions);
@@ -555,20 +799,18 @@ where
                     if self.config.stop_on_error {
                         break outcome;
                     }
-                    if !self.strategy.on_execution_end() {
-                        break SearchOutcome::Complete;
-                    }
+                    self.strategy.on_execution_end()
                 }
-                ExecEnd::Done => {
-                    if !self.strategy.on_execution_end() {
-                        break SearchOutcome::Complete;
-                    }
-                }
+                ExecEnd::Done => self.strategy.on_execution_end(),
                 ExecEnd::Interrupted(kind) => {
                     self.emit_checkpoint(&boundary, base_wall, start);
                     break SearchOutcome::BudgetExhausted(kind);
                 }
+            };
+            if !more {
+                break SearchOutcome::Complete;
             }
+            snaps.after_execution(self.strategy.replay_depth());
             if self.checkpoint_due(stats.executions) {
                 self.emit_checkpoint(&stats, base_wall, start);
             }
@@ -577,42 +819,58 @@ where
         SearchReport { outcome, stats }
     }
 
+    /// Builds the system for the next execution and its start state in
+    /// `scratch`: a copy of the deepest live prefix snapshot, or the
+    /// initial state.
+    fn begin_execution(
+        &mut self,
+        (pool, snaps): (&mut SysPool<P>, &mut SnapshotStack),
+        scratch: &mut ExecScratch,
+    ) -> P {
+        if let Some(slot) = snaps.resume(scratch) {
+            let depth = scratch.st.depth;
+            snaps.arm(depth, true);
+            self.strategy.resume_at(depth);
+            return pool.restore(&mut self.factory, slot);
+        }
+        let sys = pool.acquire(&mut self.factory);
+        snaps.arm(0, pool.confirmed);
+        scratch.start(sys.thread_count());
+        sys.enabled_set_into(&mut scratch.st.es);
+        sys
+    }
+
     fn one_execution(
         &mut self,
         obs: &mut dyn Observer<P>,
         stats: &mut SearchStats,
         deadline: Option<Instant>,
         schedule: &mut Vec<Decision>,
-        pool: &mut SysPool<P>,
+        (pool, snaps): (&mut SysPool<P>, &mut SnapshotStack),
         scratch: &mut ExecScratch,
     ) -> ExecEnd {
         let execution = stats.executions;
-        let mut sys = pool.acquire(&mut self.factory);
-        let mut fair = self
-            .config
-            .fairness
-            .map(|fc| FairScheduler::with_k(sys.thread_count(), fc.k).with_scope(fc.scope));
-        // Steps each thread has taken since its last yield, for the
-        // good-samaritan heuristic.
-        scratch.steps_since_yield.clear();
-        scratch.steps_since_yield.resize(sys.thread_count(), 0);
-        // Cycle detection: (program ⊕ scheduler) fingerprint → step index,
-        // plus per-state enabled sets to classify detected cycles.
-        scratch.seen.clear();
-        let mut hist_len = 0usize;
-        let mut prev: Option<chess_kernel::ThreadId> = None;
-        let mut depth = 0usize;
-        let mut have_es = false;
-
-        obs.on_state(&sys, 0);
-        if self.config.detect_cycles {
-            scratch
-                .seen
-                .insert(self.combined_fingerprint(&sys, fair.as_ref()), 0);
+        let mut sys = self.begin_execution((pool, snaps), scratch);
+        // A resumed execution counts the transitions it skipped: the
+        // report describes the logical search, not the work done.
+        let resumed = scratch.st.depth;
+        stats.transitions += resumed as u64;
+        schedule.truncate(resumed);
+        if resumed == 0 {
+            obs.on_state(&sys, 0);
+            if self.config.detect_cycles {
+                // Cycle detection: (program ⊕ scheduler) fingerprint →
+                // step index, plus per-state enabled sets to classify
+                // detected cycles.
+                let fp = self.combined_fingerprint(&sys, scratch.st.fair.as_ref());
+                scratch.seen.insert(fp, 0);
+            }
         }
+        let mut status = sys.status_with_enabled(&scratch.st.es);
 
         let end = loop {
-            match sys.status() {
+            let depth = scratch.st.depth;
+            match status {
                 SystemStatus::Running => {}
                 SystemStatus::Terminated => {
                     stats.terminating += 1;
@@ -629,7 +887,7 @@ where
                         break ExecEnd::Error(SearchOutcome::Deadlock(Counterexample {
                             kind: CounterexampleKind::Deadlock,
                             message: format!("no thread enabled; blocked: {blocked:?}"),
-                            schedule: std::mem::take(schedule),
+                            schedule: error_schedule(self.config.stop_on_error, schedule),
                             execution,
                         }));
                     }
@@ -641,7 +899,7 @@ where
                     break ExecEnd::Error(SearchOutcome::SafetyViolation(Counterexample {
                         kind: CounterexampleKind::Safety,
                         message: format!("{}: {message}", sys.thread_name(t)),
-                        schedule: std::mem::take(schedule),
+                        schedule: error_schedule(self.config.stop_on_error, schedule),
                         execution,
                     }));
                 }
@@ -655,21 +913,11 @@ where
                     // — that counter is the unfair baseline's wasted-cut
                     // metric (Figure 2), and counting the same hit in both
                     // would double-book one event.
-                    let kind = scratch
-                        .steps_since_yield
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &s)| s >= self.config.gs_threshold)
-                        .max_by_key(|&(_, &s)| s)
-                        .map(|(i, &s)| DivergenceKind::GoodSamaritanSuspect {
-                            thread: chess_kernel::ThreadId::new(i),
-                            steps_without_yield: s,
-                        })
-                        .unwrap_or(DivergenceKind::LivelockSuspect);
+                    let kind = bound_kind(&scratch.st.steps_since_yield, self.config.gs_threshold);
                     stats.divergences += 1;
                     break ExecEnd::Error(SearchOutcome::Divergence(Divergence {
                         kind,
-                        schedule: std::mem::take(schedule),
+                        schedule: error_schedule(self.config.stop_on_error, schedule),
                         execution,
                     }));
                 }
@@ -686,15 +934,14 @@ where
                 }
             }
 
-            // The post-step enabled set of the previous iteration IS this
-            // iteration's pre-step set — nothing steps in between.
-            if have_es {
-                std::mem::swap(&mut scratch.es, &mut scratch.es_after);
-            } else {
-                sys.enabled_set_into(&mut scratch.es);
+            if depth == snaps.next {
+                pool.save(&mut self.factory, snaps.next_slot(), &sys);
+                snaps.commit(scratch);
             }
-            let es = &scratch.es;
-            let schedulable: &TidSet = match &fair {
+
+            let st = &mut scratch.st;
+            let es = &st.es;
+            let schedulable: &TidSet = match &st.fair {
                 Some(f) => {
                     f.schedulable_into(es, &mut scratch.schedulable);
                     &scratch.schedulable
@@ -758,6 +1005,7 @@ where
             if !any_flush {
                 scratch.flushes.clear();
             }
+            let prev = st.prev;
             let point = SchedulePoint {
                 depth,
                 options: &scratch.options,
@@ -784,83 +1032,63 @@ where
             schedule.push(d);
             let kind = sys.step(d.thread, d.choice);
             sys.enabled_set_into(&mut scratch.es_after);
-            have_es = true;
-            if let Some(f) = fair.as_mut() {
+            if let Some(f) = st.fair.as_mut() {
                 f.grow(sys.thread_count());
-                f.on_scheduled(d.thread, &scratch.es, &scratch.es_after, kind.is_yield());
+                f.on_scheduled(d.thread, &st.es, &scratch.es_after, kind.is_yield());
             }
-            scratch.steps_since_yield.resize(sys.thread_count(), 0);
+            st.steps_since_yield.resize(sys.thread_count(), 0);
             if kind.is_yield() {
-                scratch.steps_since_yield[d.thread.index()] = 0;
+                st.steps_since_yield[d.thread.index()] = 0;
             } else {
-                scratch.steps_since_yield[d.thread.index()] += 1;
+                st.steps_since_yield[d.thread.index()] += 1;
             }
             stats.transitions += 1;
-            depth += 1;
+            let depth = depth + 1;
+            st.depth = depth;
             // Flush steps are transparent to continuation tracking: `prev`
             // keeps pointing at the last *program* thread, so a buffer
             // drain between two steps of one thread does not make the
             // continuation look like a paid preemption under CB.
             if !sys.is_flush(d.thread) {
-                prev = Some(d.thread);
+                st.prev = Some(d.thread);
             }
             obs.on_state(&sys, depth);
+            status = sys.status_with_enabled(&scratch.es_after);
 
-            if self.config.detect_cycles && sys.status().is_running() {
+            if self.config.detect_cycles && status.is_running() {
                 // Only running states can extend a cycle. A violating
                 // transition may leave the captured state unchanged (the
                 // violation aborts the step before the guest observes it),
                 // and treating that repeat as a cycle would misreport the
                 // safety violation as a divergence.
-                if let Some(slot) = scratch.es_history.get_mut(hist_len) {
-                    slot.clear();
-                    slot.union_with(&scratch.es);
+                if let Some(slot) = scratch.es_history.get_mut(st.hist_len) {
+                    slot.clone_from(&st.es);
                 } else {
-                    scratch.es_history.push(scratch.es.clone());
+                    scratch.es_history.push(st.es.clone());
                 }
-                hist_len += 1;
-                let fp = self.combined_fingerprint(&sys, fair.as_ref());
+                st.hist_len += 1;
+                let fp = self.combined_fingerprint(&sys, st.fair.as_ref());
                 if let Some(&start_idx) = scratch.seen.get(&fp) {
                     // Transitions start_idx..depth form a repeatable cycle.
-                    stats.divergences += 1;
-                    let cycle_len = depth - start_idx;
-                    let scheduled: TidSet = schedule[start_idx..depth]
-                        .iter()
-                        .map(|d| d.thread)
-                        .collect();
-                    let mut enabled_in_cycle = TidSet::new();
-                    for e in &scratch.es_history[start_idx..depth] {
-                        enabled_in_cycle.union_with(e);
-                    }
-                    let starved = enabled_in_cycle.difference(&scheduled).first();
-                    let kind = match starved {
-                        None => {
-                            stats.fair_cycles += 1;
-                            DivergenceKind::FairCycle {
-                                cycle_start: start_idx,
-                                cycle_len,
-                            }
-                        }
-                        Some(starved) => {
-                            stats.unfair_cycles += 1;
-                            DivergenceKind::UnfairCycle {
-                                cycle_start: start_idx,
-                                cycle_len,
-                                starved,
-                            }
-                        }
-                    };
+                    let kind = cycle_kind(
+                        &schedule[start_idx..depth],
+                        &scratch.es_history[start_idx..depth],
+                        start_idx,
+                        stats,
+                    );
                     break ExecEnd::Error(SearchOutcome::Divergence(Divergence {
                         kind,
-                        schedule: std::mem::take(schedule),
+                        schedule: error_schedule(self.config.stop_on_error, schedule),
                         execution,
                     }));
                 }
                 scratch.seen.insert(fp, depth);
             }
+            // The post-step enabled set is the next state's.
+            std::mem::swap(&mut st.es, &mut scratch.es_after);
         };
-        stats.max_depth = stats.max_depth.max(depth);
-        obs.on_execution_end(&sys, depth);
+        stats.max_depth = stats.max_depth.max(scratch.st.depth);
+        obs.on_execution_end(&sys, scratch.st.depth);
         pool.release(sys);
         end
     }
@@ -870,6 +1098,74 @@ where
         match fair {
             Some(f) => prog ^ f.state_fingerprint().rotate_left(1),
             None => prog,
+        }
+    }
+}
+
+// The classification helpers below do not depend on the system type:
+// kept out of the generic execution loop, they are compiled once.
+
+/// The schedule of a counterexample ending the current execution: moved
+/// out when the search stops at it, copied when the search runs on,
+/// since the next execution may resume inside its prefix.
+#[inline(never)]
+fn error_schedule(stop_on_error: bool, schedule: &mut Vec<Decision>) -> Vec<Decision> {
+    if stop_on_error {
+        std::mem::take(schedule)
+    } else {
+        schedule.clone()
+    }
+}
+
+/// Classifies a depth-bound hit under fairness (Section 2's outcomes
+/// 2/3): the thread that went longest without yielding, if that is at
+/// least `gs_threshold` steps, is a good-samaritan suspect.
+#[inline(never)]
+fn bound_kind(steps_since_yield: &[u64], gs_threshold: u64) -> DivergenceKind {
+    steps_since_yield
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| s >= gs_threshold)
+        .max_by_key(|&(_, &s)| s)
+        .map(|(i, &s)| DivergenceKind::GoodSamaritanSuspect {
+            thread: chess_kernel::ThreadId::new(i),
+            steps_without_yield: s,
+        })
+        .unwrap_or(DivergenceKind::LivelockSuspect)
+}
+
+/// Classifies the repeatable cycle starting at depth `start` whose
+/// decisions and pre-step enabled sets are given, booking it in `stats`:
+/// fair when every thread enabled in it was scheduled in it.
+#[inline(never)]
+fn cycle_kind(
+    cycle: &[Decision],
+    enabled: &[TidSet],
+    start: usize,
+    stats: &mut SearchStats,
+) -> DivergenceKind {
+    stats.divergences += 1;
+    let scheduled: TidSet = cycle.iter().map(|d| d.thread).collect();
+    let mut enabled_in_cycle = TidSet::new();
+    for e in enabled {
+        enabled_in_cycle.union_with(e);
+    }
+    let cycle_len = cycle.len();
+    match enabled_in_cycle.difference(&scheduled).first() {
+        None => {
+            stats.fair_cycles += 1;
+            DivergenceKind::FairCycle {
+                cycle_start: start,
+                cycle_len,
+            }
+        }
+        Some(starved) => {
+            stats.unfair_cycles += 1;
+            DivergenceKind::UnfairCycle {
+                cycle_start: start,
+                cycle_len,
+                starved,
+            }
         }
     }
 }

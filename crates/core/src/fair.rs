@@ -63,7 +63,7 @@ pub enum PenaltyScope {
 /// // No yields yet: the scheduler is fully nondeterministic.
 /// assert_eq!(fair.schedulable(&es).len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FairScheduler {
     /// `p[t]` is the successor set `{u | (t, u) ∈ P}`.
     p: Vec<TidSet>,
@@ -76,6 +76,32 @@ pub struct FairScheduler {
     k: u64,
     /// Penalty-edge scope (ablation; default is the paper's rule).
     scope: PenaltyScope,
+}
+
+impl Clone for FairScheduler {
+    fn clone(&self) -> Self {
+        FairScheduler {
+            p: self.p.clone(),
+            e: self.e.clone(),
+            d: self.d.clone(),
+            s: self.s.clone(),
+            yield_counts: self.yield_counts.clone(),
+            k: self.k,
+            scope: self.scope,
+        }
+    }
+
+    /// Field-by-field copy that reuses every set's allocation, so taking
+    /// and restoring explorer snapshots allocates nothing in steady state.
+    fn clone_from(&mut self, source: &Self) {
+        self.p.clone_from(&source.p);
+        self.e.clone_from(&source.e);
+        self.d.clone_from(&source.d);
+        self.s.clone_from(&source.s);
+        self.yield_counts.clone_from(&source.yield_counts);
+        self.k = source.k;
+        self.scope = source.scope;
+    }
 }
 
 impl FairScheduler {
@@ -107,6 +133,28 @@ impl FairScheduler {
             fair.push_thread(n);
         }
         fair
+    }
+
+    /// Returns this scheduler to the initial state of a program with `n`
+    /// threads (lines 1–4), keeping `k`, the scope and every allocation —
+    /// the allocation-free form of building a new scheduler for the next
+    /// execution.
+    pub fn reset(&mut self, n: usize) {
+        self.p.truncate(n);
+        self.e.truncate(n);
+        self.d.truncate(n);
+        self.s.truncate(n);
+        self.yield_counts.truncate(n);
+        for i in 0..self.p.len() {
+            self.p[i].clear();
+            self.e[i].clear();
+            self.d[i].fill(n);
+            self.s[i].fill(n);
+            self.yield_counts[i] = 0;
+        }
+        while self.p.len() < n {
+            self.push_thread(n);
+        }
     }
 
     /// Sets the penalty-edge scope (ablation; see [`PenaltyScope`]).
@@ -203,8 +251,7 @@ impl FairScheduler {
             self.s[u].insert(t);
         }
         // Line 17: D(t) accumulates the threads disabled by t's transition.
-        let disabled_now = es_before.difference(es_after);
-        self.d[t.index()].union_with(&disabled_now);
+        self.d[t.index()].union_with_difference(es_before, es_after);
 
         // Lines 23–29: on a (processed) yield of t, penalize t against the
         // threads it starved during its window, then open a new window.
@@ -214,23 +261,26 @@ impl FairScheduler {
                 return;
             }
             let ti = t.index();
-            let mut h = match self.scope {
+            // Line 13 just removed t from P(t), so adding H and then
+            // removing t equals adding H \ {t}. D(t) is reset below, so it
+            // serves as H's buffer for the paper's scope.
+            match self.scope {
                 // Line 24: H := (E(t) ∪ D(t)) \ S(t).
                 PenaltyScope::WindowSets => {
-                    let mut h = self.e[ti].union(&self.d[ti]);
+                    let h = &mut self.d[ti];
+                    h.union_with(&self.e[ti]);
                     h.difference_with(&self.s[ti]);
-                    h
+                    // Line 25: P := P ∪ ({t} × H).
+                    self.p[ti].union_with(h);
                 }
                 // Ablation: penalize against every other enabled thread.
-                PenaltyScope::AllEnabled => es_after.clone(),
-            };
-            h.remove(t);
-            // Line 25: P := P ∪ ({t} × H).
-            self.p[ti].union_with(&h);
+                PenaltyScope::AllEnabled => self.p[ti].union_with(es_after),
+            }
+            self.p[ti].remove(t);
             // Lines 26–28: reset the window.
-            self.e[ti] = es_after.clone();
-            self.d[ti] = TidSet::new();
-            self.s[ti] = TidSet::new();
+            self.e[ti].clone_from(es_after);
+            self.d[ti].clear();
+            self.s[ti].clear();
             debug_assert!(
                 !self.p[ti].contains(t),
                 "t ∈ S(t) must have prevented a self-edge"
@@ -532,6 +582,70 @@ mod tests {
             assert!(fair.is_acyclic());
             es = es_after;
         }
+    }
+
+    /// The full state of a scheduler (sets print their members), for
+    /// comparing two of them.
+    fn state(f: &FairScheduler) -> String {
+        format!("{f:?}")
+    }
+
+    /// Drives `fair` through a pseudo-random run with yields and spawns.
+    fn drive(fair: &mut FairScheduler, steps: usize, mut rng: u64) {
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut es = TidSet::full(fair.thread_count());
+        for _ in 0..steps {
+            if next() % 16 == 0 {
+                fair.grow(fair.thread_count() + 1);
+            }
+            let n = fair.thread_count();
+            let tset = fair.schedulable(&es);
+            let Some(pick) = tset
+                .iter()
+                .nth((next() % tset.len().max(1) as u64) as usize)
+            else {
+                es = TidSet::full(n);
+                continue;
+            };
+            let es_after: TidSet = (0..n).filter(|_| next() % 4 != 0).map(t).collect();
+            fair.on_scheduled(pick, &es, &es_after, next() % 3 == 0);
+            es = es_after;
+        }
+    }
+
+    /// `reset(n)` yields exactly the state of a newly built scheduler,
+    /// whatever the scheduler went through before.
+    #[test]
+    fn reset_matches_new_scheduler() {
+        for (n, k) in [(1, 1), (3, 1), (4, 2), (70, 1)] {
+            let mut fair = FairScheduler::with_k(5, k);
+            drive(&mut fair, 300, 0x9E37_79B9 + n as u64);
+            fair.reset(n);
+            let fresh = FairScheduler::with_k(n, k);
+            assert_eq!(state(&fair), state(&fresh), "n = {n}");
+            assert_eq!(fair.state_fingerprint(), fresh.state_fingerprint());
+        }
+    }
+
+    /// `clone_from` reproduces the source's state whatever the target
+    /// held, and the copy then evolves exactly like the source.
+    #[test]
+    fn clone_from_copies_state() {
+        let mut src = FairScheduler::new(3);
+        drive(&mut src, 200, 7);
+        let mut dst = FairScheduler::with_k(9, 1);
+        drive(&mut dst, 50, 11);
+        dst.clone_from(&src);
+        assert_eq!(state(&dst), state(&src));
+        assert_eq!(dst.state_fingerprint(), src.state_fingerprint());
+        drive(&mut src, 100, 13);
+        drive(&mut dst, 100, 13);
+        assert_eq!(state(&dst), state(&src));
     }
 
     #[test]

@@ -247,6 +247,13 @@ impl TransitionSystem for FuzzSystem {
         self.scripts.len()
     }
 
+    /// A fuzzed system is plain data, so a copy is a clone: pooling and
+    /// prefix snapshots apply to fuzzed searches too.
+    fn reset_from(&mut self, template: &Self) -> bool {
+        self.clone_from(template);
+        true
+    }
+
     fn enabled(&self, t: ThreadId) -> bool {
         match self.current_op(t) {
             None => false,

@@ -211,12 +211,15 @@ impl Strategy for ContextBounded {
         } else if self.horizon.is_some_and(|db| point.depth >= db) {
             Some(scratch.decisions[self.rng.gen_range(0..scratch.decisions.len())])
         } else if point.depth < self.stack.len() {
-            let f = &self.stack[point.depth];
+            let f = &mut self.stack[point.depth];
             debug_assert_eq!(
                 f.options, scratch.decisions,
                 "nondeterministic replay at depth {}",
                 point.depth
             );
+            // Frames restored from a checkpoint carry no budget; the
+            // replay that reaches them records it.
+            f.sleep.budget = self.budget;
             Some(f.current())
         } else {
             debug_assert_eq!(point.depth, self.stack.len());
@@ -244,6 +247,7 @@ impl Strategy for ContextBounded {
             }
             if alive {
                 let first = frame.current();
+                frame.sleep.budget = self.budget;
                 self.stack.push(frame);
                 Some(first)
             } else {
@@ -285,6 +289,18 @@ impl Strategy for ContextBounded {
 
     fn wants_footprints(&self) -> bool {
         self.reduction.is_on()
+    }
+
+    /// As for [`crate::strategy::Dfs`]: every frame but the deepest
+    /// replays its current decision.
+    fn replay_depth(&self) -> usize {
+        self.stack.len().saturating_sub(1)
+    }
+
+    fn resume_at(&mut self, depth: usize) {
+        if let Some(f) = self.stack.get(depth) {
+            self.budget = f.sleep.budget;
+        }
     }
 
     fn snapshot(&self) -> Option<StrategySnapshot> {

@@ -291,6 +291,12 @@ impl Strategy for Dfs {
         self.reduction.is_on()
     }
 
+    /// Every frame but the deepest replays its current decision; the
+    /// deepest just advanced to its next one.
+    fn replay_depth(&self) -> usize {
+        self.stack.len().saturating_sub(1)
+    }
+
     fn snapshot(&self) -> Option<StrategySnapshot> {
         if !self.checkpointable() {
             return None;

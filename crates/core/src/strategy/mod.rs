@@ -212,6 +212,29 @@ pub trait Strategy {
             snapshot.kind()
         ))
     }
+
+    /// The length of the decision prefix the next execution shares with
+    /// the one that just ended, asked after [`Strategy::on_execution_end`]
+    /// returned `true`: the next execution takes the same decisions at
+    /// depths `0..replay_depth()`, so it passes through the same states
+    /// at depths `0..=replay_depth()`, and [`Strategy::pick`] at those
+    /// depths changes nothing but what [`Strategy::resume_at`] restores.
+    ///
+    /// The explorer uses this to resume executions from a prefix snapshot
+    /// instead of re-executing the prefix. The default, 0, claims no
+    /// shared prefix, and the explorer then takes no snapshots.
+    fn replay_depth(&self) -> usize {
+        0
+    }
+
+    /// Announces that the next execution starts at `depth` (at most
+    /// [`Strategy::replay_depth`]) from a snapshot: `pick` is not called
+    /// at depths below it. The strategy restores whatever per-execution
+    /// state the skipped picks would have rebuilt. The default does
+    /// nothing.
+    fn resume_at(&mut self, depth: usize) {
+        let _ = depth;
+    }
 }
 
 impl Strategy for Box<dyn Strategy> {
@@ -237,6 +260,14 @@ impl Strategy for Box<dyn Strategy> {
 
     fn restore(&mut self, snapshot: &StrategySnapshot) -> Result<(), String> {
         (**self).restore(snapshot)
+    }
+
+    fn replay_depth(&self) -> usize {
+        (**self).replay_depth()
+    }
+
+    fn resume_at(&mut self, depth: usize) {
+        (**self).resume_at(depth)
     }
 }
 

@@ -110,6 +110,11 @@ pub(crate) struct SleepFrame {
     /// Whether the fairness priority filtered the enabled set at this
     /// node (disables pruning and propagation, see the module docs).
     pub fairness_filtered: bool,
+    /// The context-bounded search's preemption budget on arrival at this
+    /// node, which [`crate::strategy::Strategy::resume_at`] restores
+    /// (unused by dfs). It lives here, in the padding after
+    /// `fairness_filtered`, so a deep cb stack takes no extra memory.
+    pub budget: u32,
 }
 
 impl SleepFrame {

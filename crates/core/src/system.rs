@@ -29,6 +29,17 @@ impl SystemStatus {
     }
 }
 
+impl From<KernelStatus> for SystemStatus {
+    fn from(status: KernelStatus) -> Self {
+        match status {
+            KernelStatus::Running => SystemStatus::Running,
+            KernelStatus::Terminated => SystemStatus::Terminated,
+            KernelStatus::Deadlock => SystemStatus::Deadlock,
+            KernelStatus::Violation(v) => SystemStatus::Violation(v.thread, v.message),
+        }
+    }
+}
+
 /// An explorable multithreaded program: the paper's `Q`.
 ///
 /// All methods except [`TransitionSystem::step`] must be pure observations;
@@ -146,6 +157,16 @@ pub trait TransitionSystem {
     /// Current status.
     fn status(&self) -> SystemStatus;
 
+    /// [`TransitionSystem::status`] for a state whose enabled set the
+    /// caller already holds (`enabled == enabled_set()`), so an override
+    /// can skip rescanning the threads. The explorer calls this once per
+    /// state. Overrides must return exactly what `status` returns; the
+    /// default calls it.
+    fn status_with_enabled(&self, enabled: &TidSet) -> SystemStatus {
+        let _ = enabled;
+        self.status()
+    }
+
     /// 64-bit fingerprint of the current abstract state (used by cycle
     /// detection and coverage).
     fn fingerprint(&self) -> u64;
@@ -227,12 +248,11 @@ impl<S: Capture + Clone> TransitionSystem for Kernel<S> {
     }
 
     fn status(&self) -> SystemStatus {
-        match Kernel::status(self) {
-            KernelStatus::Running => SystemStatus::Running,
-            KernelStatus::Terminated => SystemStatus::Terminated,
-            KernelStatus::Deadlock => SystemStatus::Deadlock,
-            KernelStatus::Violation(v) => SystemStatus::Violation(v.thread, v.message),
-        }
+        Kernel::status(self).into()
+    }
+
+    fn status_with_enabled(&self, enabled: &TidSet) -> SystemStatus {
+        Kernel::status_with_enabled(self, enabled).into()
     }
 
     fn fingerprint(&self) -> u64 {
@@ -537,6 +557,110 @@ mod tests {
                 let choice = lcg(&mut rng) as u32 % sys.branching(t).max(1) as u32;
                 sys.step(t, choice);
             }
+        }
+    }
+
+    /// Walks `sys` randomly for up to 500 steps and checks at every state
+    /// that `status_with_enabled` (handed the state's enabled set)
+    /// returns exactly what `status` does.
+    fn assert_status_agrees<S: TransitionSystem>(sys: &mut S, rng: &mut u64, what: &str) {
+        for _ in 0..500 {
+            let es = sys.enabled_set();
+            assert_eq!(
+                sys.status_with_enabled(&es),
+                sys.status(),
+                "{what}: status_with_enabled disagrees with status"
+            );
+            if !sys.status().is_running() {
+                return;
+            }
+            let options: Vec<ThreadId> = es.iter().collect();
+            let t = options[lcg(rng) as usize % options.len()];
+            let choice = lcg(rng) as u32 % sys.branching(t).max(1) as u32;
+            sys.step(t, choice);
+        }
+    }
+
+    /// The kernel's override agrees with `status` in running, terminated,
+    /// deadlocked and violating states.
+    #[test]
+    fn status_with_enabled_agrees_with_kernel_status() {
+        use chess_kernel::{Effects, GuestThread, MutexId, OpDesc, OpResult};
+
+        // Takes `first` then `second`: two of them in opposite order can
+        // deadlock. With `check`, a thread entering with the counter at 1
+        // reports a violation.
+        #[derive(Clone)]
+        struct Locker {
+            pc: u8,
+            first: MutexId,
+            second: MutexId,
+            check: bool,
+        }
+        impl GuestThread<u32> for Locker {
+            fn next_op(&self, _: &u32) -> OpDesc {
+                match self.pc {
+                    0 => OpDesc::Acquire(self.first),
+                    1 => OpDesc::Acquire(self.second),
+                    2 => OpDesc::Local,
+                    3 => OpDesc::Release(self.second),
+                    4 => OpDesc::Release(self.first),
+                    _ => OpDesc::Finished,
+                }
+            }
+            fn on_op(&mut self, _: OpResult, shared: &mut u32, fx: &mut Effects<u32>) {
+                if self.pc == 2 {
+                    if self.check && *shared == 1 {
+                        fx.fail("second entry");
+                    }
+                    *shared += 1;
+                }
+                self.pc += 1;
+            }
+            fn box_clone(&self) -> Box<dyn GuestThread<u32>> {
+                Box::new(self.clone())
+            }
+        }
+
+        let mut rng = 0x5747u64;
+        let (mut deadlocks, mut violations, mut terminated) = (0, 0, 0);
+        for i in 0..200 {
+            let mut k = Kernel::new(0u32);
+            let (a, b) = (k.add_mutex(), k.add_mutex());
+            let check = i % 2 == 0;
+            k.spawn(Locker {
+                pc: 0,
+                first: a,
+                second: b,
+                check,
+            });
+            k.spawn(Locker {
+                pc: 0,
+                first: b,
+                second: a,
+                check,
+            });
+            assert_status_agrees(&mut k, &mut rng, "kernel");
+            match TransitionSystem::status(&k) {
+                SystemStatus::Deadlock => deadlocks += 1,
+                SystemStatus::Violation(..) => violations += 1,
+                SystemStatus::Terminated => terminated += 1,
+                SystemStatus::Running => unreachable!("the walk runs to the end"),
+            }
+        }
+        assert!(deadlocks > 0 && violations > 0 && terminated > 0);
+    }
+
+    /// The default body agrees on fuzzed systems (it calls `status`).
+    #[test]
+    fn status_with_enabled_agrees_on_fuzzed_systems() {
+        use crate::fuzz::{derive_seed, generate_system, FuzzConfig};
+
+        for index in 0..40 {
+            let seed = derive_seed(0x57A7, index);
+            let mut sys = generate_system(&FuzzConfig::default().with_seed(seed));
+            let mut rng = seed | 1;
+            assert_status_agrees(&mut sys, &mut rng, "fuzzed system");
         }
     }
 

@@ -246,9 +246,19 @@ impl Clone for Footprint {
 
     // The derived impl would fall back to a fresh allocation here; the
     // explorer clones footprints into per-schedule-point buffers on every
-    // step, so reusing the access buffer matters.
+    // step, so reusing the access buffer matters. A buffer too small for
+    // `source` is replaced rather than grown: the strategies swap these
+    // buffers between recycled frames, so growth would recur tens of
+    // thousands of times per search, and in-place `realloc` of that many
+    // small blocks fragments the heap (a repeated sleep-set wsq(1) cb:3
+    // search grew the process by ~10 kB a run; with fresh allocations,
+    // ~3 kB).
     fn clone_from(&mut self, source: &Self) {
-        self.accesses.clone_from(&source.accesses);
+        if self.accesses.capacity() < source.accesses.len() {
+            self.accesses = source.accesses.clone();
+        } else {
+            self.accesses.clone_from(&source.accesses);
+        }
         self.universal = source.universal;
     }
 }

@@ -1009,6 +1009,19 @@ impl<S> Kernel<S> {
         }
     }
 
+    /// [`Kernel::status`] for a state whose enabled set the caller already
+    /// holds: `enabled` must equal [`Kernel::enabled_set`] of the current
+    /// state. A non-empty set without a violation is `Running` (an enabled
+    /// thread has not finished); only an empty set needs the thread scan
+    /// that tells a deadlock from termination.
+    pub fn status_with_enabled(&self, enabled: &TidSet) -> KernelStatus {
+        debug_assert_eq!(*enabled, self.enabled_set(), "stale enabled set");
+        if self.violation.is_none() && !enabled.is_empty() {
+            return KernelStatus::Running;
+        }
+        self.status()
+    }
+
     /// Injects a violation from outside a transition (used by external
     /// monitors checking whole-program invariants between transitions).
     pub fn report_violation(&mut self, thread: ThreadId, message: impl Into<String>) {

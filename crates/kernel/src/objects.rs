@@ -571,6 +571,22 @@ mod tests {
         ThreadId::new(i)
     }
 
+    /// Object states holding thread sets compare by members, not by how
+    /// the sets' storage grew: a lock all readers left equals a fresh one.
+    #[test]
+    fn object_state_equality_ignores_set_history() {
+        let mut rw = RwLockState::default();
+        rw.readers.insert(t(100));
+        rw.readers.remove(t(100));
+        assert_eq!(rw, RwLockState::default());
+        let mut cv = CondvarState::default();
+        cv.enrolled.insert(t(1));
+        cv.signaled.insert(t(70));
+        cv.enrolled.remove(t(1));
+        cv.signaled.remove(t(70));
+        assert_eq!(cv, CondvarState::default());
+    }
+
     #[test]
     fn mutex_lifecycle() {
         let mut o = Objects::default();

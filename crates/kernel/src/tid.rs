@@ -57,6 +57,9 @@ impl From<ThreadId> for usize {
 ///
 /// All binary operations treat missing high words as zero, so sets of
 /// different capacities compose without reallocation surprises.
+/// Equality and hashing follow the same rule: they compare
+/// [`TidSet::canonical_words`], so two sets with the same members are
+/// equal however their backing storage grew or shrank.
 ///
 /// # Examples
 ///
@@ -68,9 +71,36 @@ impl From<ThreadId> for usize {
 /// assert!(s.contains(ThreadId::new(70)));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Default)]
 pub struct TidSet {
     words: Vec<u64>,
+}
+
+impl Clone for TidSet {
+    fn clone(&self) -> Self {
+        TidSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
+}
+
+impl PartialEq for TidSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.canonical_words() == other.canonical_words()
+    }
+}
+
+impl Eq for TidSet {}
+
+impl std::hash::Hash for TidSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.canonical_words().hash(state);
+    }
 }
 
 impl TidSet {
@@ -86,6 +116,17 @@ impl TidSet {
             s.insert(ThreadId::new(i));
         }
         s
+    }
+
+    /// Makes this set `{0, .., n-1}` in place, reusing its allocation —
+    /// the allocation-free form of [`TidSet::full`].
+    pub fn fill(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n / 64, u64::MAX);
+        let tail = n % 64;
+        if tail > 0 {
+            self.words.push((1u64 << tail) - 1);
+        }
     }
 
     fn ensure(&mut self, word: usize) {
@@ -154,6 +195,14 @@ impl TidSet {
     pub fn difference_with(&mut self, other: &TidSet) {
         for (i, a) in self.words.iter_mut().enumerate() {
             *a &= !other.words.get(i).copied().unwrap_or(0);
+        }
+    }
+
+    /// In-place `self ∪= a \ b`, without materializing the difference.
+    pub fn union_with_difference(&mut self, a: &TidSet, b: &TidSet) {
+        self.ensure(a.words.len().saturating_sub(1));
+        for (i, (s, &w)) in self.words.iter_mut().zip(&a.words).enumerate() {
+            *s |= w & !b.words.get(i).copied().unwrap_or(0);
         }
     }
 
@@ -357,6 +406,68 @@ mod tests {
         assert_eq!(s.first(), None);
         let s: TidSet = [t(9)].into_iter().collect();
         assert_eq!(s.first(), Some(t(9)));
+    }
+
+    #[test]
+    fn fill_matches_full() {
+        for n in [0, 1, 63, 64, 65, 128, 130] {
+            let mut s: TidSet = [t(200)].into_iter().collect();
+            s.fill(n);
+            assert_eq!(s, TidSet::full(n), "n = {n}");
+            assert_eq!(s.len(), n);
+        }
+    }
+
+    #[test]
+    fn union_with_difference_matches_allocating_form() {
+        let a: TidSet = [t(1), t(2), t(70), t(130)].into_iter().collect();
+        let b: TidSet = [t(2), t(130)].into_iter().collect();
+        let mut s: TidSet = [t(5)].into_iter().collect();
+        s.union_with_difference(&a, &b);
+        assert_eq!(s, [t(1), t(5), t(70)].into_iter().collect());
+        let mut short = TidSet::new();
+        short.union_with_difference(&a, &TidSet::new());
+        assert_eq!(short, a);
+    }
+
+    /// Equality must not depend on allocation history: a set emptied by
+    /// `remove` equals a fresh empty set.
+    #[test]
+    fn emptied_set_equals_new() {
+        let mut s = TidSet::new();
+        s.insert(t(1));
+        s.remove(t(1));
+        assert_eq!(s, TidSet::new());
+    }
+
+    /// A set whose storage once grew to hold a high id equals a fresh set
+    /// with the same members.
+    #[test]
+    fn shrunk_set_equals_fresh_set() {
+        let mut s: TidSet = [t(3), t(100)].into_iter().collect();
+        s.remove(t(100));
+        let fresh: TidSet = [t(3)].into_iter().collect();
+        assert_eq!(s, fresh);
+    }
+
+    /// Hashing agrees with equality: a hash-set lookup for the shrunk set
+    /// finds the fresh one.
+    #[test]
+    fn shrunk_set_hashes_like_fresh_set() {
+        let mut s: TidSet = [t(3), t(100)].into_iter().collect();
+        s.remove(t(100));
+        let fresh: TidSet = [t(3)].into_iter().collect();
+        let set: std::collections::HashSet<TidSet> = [fresh].into_iter().collect();
+        assert!(set.contains(&s));
+    }
+
+    #[test]
+    fn clone_from_copies_members() {
+        let src: TidSet = [t(2), t(66)].into_iter().collect();
+        let mut dst: TidSet = [t(300)].into_iter().collect();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert!(!dst.contains(t(300)));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | `sleep-coverage` | Thm 5 | on violation-free systems the reduced search still covers every yield-free-reachable state |
 //! | `sleep-terminal-states` | — | on error-free systems both searches reach exactly the same terminal states |
 //! | `sleep-parallel-agreement` | — | 2-shard sleep-set DFS reproduces the sleep-set counting pass |
+//! | `snapshot-agreement` | — | DFS and sleep-set DFS report the same with prefix snapshots (pooling on) as replaying every execution (pooling off) |
 //!
 //! The `sleep-*` oracles run only when [`OracleLimits::reduce`] is set:
 //! they add a third counting pass with [`Dfs::with_sleep_sets`] and
@@ -197,6 +198,23 @@ fn shard_disagreement(sequential: &SearchReport, sharded: &SearchReport) -> Opti
             zero_wall(sequential)
         )
     })
+}
+
+/// One counting pass of the `snapshot-agreement` oracle: plain or
+/// sleep-set DFS through [`Explorer::run`], wall clock zeroed.
+fn snapshot_pass<P, F>(factory: F, reduce: bool, config: Config) -> SearchReport
+where
+    P: TransitionSystem,
+    F: Fn() -> P,
+{
+    let strategy = if reduce {
+        Dfs::with_sleep_sets()
+    } else {
+        Dfs::new()
+    };
+    let mut report = Explorer::new(factory, strategy, config).run();
+    report.stats.wall = Duration::ZERO;
+    report
 }
 
 /// Runs the full differential check of one program.
@@ -499,6 +517,24 @@ where
                 4 * threads + 4
             ),
         );
+    }
+
+    // Oracle: prefix snapshots change nothing. The counting passes run
+    // through `run` with pooling on (executions resume from snapshots)
+    // and off (every execution replays from the initial state).
+    for reduce in [false, true] {
+        let on = snapshot_pass(&factory, reduce, config_a.clone());
+        let off = snapshot_pass(&factory, reduce, config_a.clone().with_pooling(false));
+        if on != off {
+            disc(
+                &mut verdict,
+                "snapshot-agreement",
+                format!(
+                    "{} reported {on:?} with snapshots, {off:?} without",
+                    if reduce { "sleep-set DFS" } else { "DFS" }
+                ),
+            );
+        }
     }
 
     // Pass B: stop at the first error — the counterexample producer.
