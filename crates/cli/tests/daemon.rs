@@ -400,3 +400,27 @@ fn wrongly_typed_and_deeply_nested_requests_get_structured_errors() {
     assert!(status.contains(r#""ok": true"#), "{status}");
     daemon.shutdown();
 }
+
+/// A client that sends 2 MiB with no newline gets a structured error
+/// and is hung up on once the daemon has read its line limit (1 MiB),
+/// so the rest of the write fails; a second client is still served.
+#[test]
+fn oversized_request_line_gets_a_structured_error_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("oversized");
+    let daemon = Daemon::start(&dir, "store");
+    let conn = std::os::unix::net::UnixStream::connect(&daemon.sock).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(&vec![b'x'; 2 << 20]).is_ok());
+    let mut reply = String::new();
+    BufReader::new(conn).read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""ok": false"#), "{reply}");
+    assert!(reply.contains("longer than 1048576 bytes"), "{reply}");
+    assert!(!sender.join().unwrap(), "the daemon read the whole line");
+
+    let status = raw_exchange(&daemon.sock, r#"{"v": 1, "op": "status"}"#);
+    assert!(status.contains(r#""ok": true"#), "{status}");
+    daemon.shutdown();
+}

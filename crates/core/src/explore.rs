@@ -2,9 +2,9 @@
 //! control of a strategy (and optionally the fair scheduler), re-creating
 //! the program from a factory for every execution — no visited-state set
 //! is ever kept. With pooling on, a `dfs` or `cb` execution starts from a
-//! copy of a state on the prefix it shares with the previous execution
-//! (a prefix snapshot, DESIGN.md §12.4) instead of re-executing that
-//! prefix.
+//! snapshot of a state on the prefix it shares with the previous
+//! execution (a prefix snapshot, taken where the search branches;
+//! DESIGN.md §12.4) instead of re-executing that prefix.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,6 +57,11 @@ pub struct Progress {
     /// [`Config::pooling`]). Kept out of [`SearchStats`] so reports do
     /// not depend on whether snapshots applied.
     pub steps_skipped: AtomicU64,
+    /// Transitions of shared prefixes that were re-executed because no
+    /// prefix snapshot sat at the depth the execution backtracked to:
+    /// per execution, the strategy's replay depth minus the depth it
+    /// resumed at.
+    pub steps_replayed: AtomicU64,
     /// Prefix snapshots taken so far.
     pub snapshots: AtomicU64,
 }
@@ -346,10 +351,15 @@ impl<P: TransitionSystem> SysPool<P> {
         assert!(copied, "reset_from succeeded before, so it must now");
     }
 
-    /// A copy of snapshot slot `slot`'s system, built in the spare.
+    /// Snapshot slot `slot`'s system: taken out of the slot (the spare
+    /// takes its place) when `take`, else a copy built in the spare.
     #[inline(never)]
-    fn restore(&mut self, factory: &mut dyn FnMut() -> P, slot: usize) -> P {
+    fn restore(&mut self, factory: &mut dyn FnMut() -> P, slot: usize, take: bool) -> P {
         let mut sys = self.spare.take().unwrap_or_else(factory);
+        if take {
+            std::mem::swap(&mut sys, &mut self.snapshots[slot]);
+            return sys;
+        }
         let copied = sys.reset_from(&self.snapshots[slot]);
         assert!(copied, "reset_from succeeded before, so it must now");
         sys
@@ -415,32 +425,29 @@ impl ExecState {
     }
 }
 
-/// Depth of the first prefix snapshot of an execution, and the initial
-/// spacing of later ones. Chosen by measurement (DESIGN.md §12.4).
-const SNAPSHOT_EVERY: usize = 4;
-/// Most prefix snapshots live at once (DESIGN.md §12.4).
-const MAX_SNAPSHOTS: usize = 4;
+/// Most prefix snapshots live at once. Chosen by measurement
+/// (DESIGN.md §12.4).
+const MAX_SNAPSHOTS: usize = 6;
 
 /// One live prefix snapshot; its system copy is in `SysPool` slot
 /// `slot`.
 struct Snapshot {
     slot: usize,
-    /// The spacing in force when this snapshot was the deepest.
-    every: usize,
     st: ExecState,
 }
 
 /// The prefix-snapshot stack behind [`Config::pooling`]: the explorer's
-/// state at a few depths of the current execution's prefix, so the next
-/// execution of a `dfs` or `cb` search resumes at the deepest one inside
-/// the prefix it shares with this one ([`Strategy::replay_depth`])
-/// instead of re-executing that prefix from the initial state.
+/// state at the *open frames* of the current execution's prefix, the
+/// depths where the strategy still has an untried alternative
+/// ([`Strategy::revisits`]). A later execution of a `dfs` or `cb` search
+/// backtracks to one of them ([`Strategy::replay_depth`]) and resumes
+/// from its snapshot instead of re-executing the prefix from the
+/// initial state.
 ///
-/// Snapshots are taken every `every` depths beyond the deepest live one.
-/// At most [`MAX_SNAPSHOTS`] live; a full stack keeps every other
-/// snapshot and doubles `every`. This bookkeeping is independent of the
-/// system type, so it is compiled once; only the system copies are
-/// generic.
+/// An execution takes a snapshot at every open frame deeper than the
+/// deepest live one. At most [`MAX_SNAPSHOTS`] live; a full stack drops
+/// its shallowest. This bookkeeping is independent of the system type,
+/// so it is compiled once; only the system copies are generic.
 struct SnapshotStack {
     /// Snapshots may apply to this search: pooling is on and no
     /// observer needs to see the skipped states.
@@ -452,14 +459,21 @@ struct SnapshotStack {
     live: Vec<Snapshot>,
     /// Dropped snapshots, kept for their slot and buffers.
     free: Vec<Snapshot>,
-    every: usize,
-    /// Depth of the running execution's next snapshot (`usize::MAX`:
-    /// none).
+    /// Least depth at which the running execution may take a snapshot
+    /// (`usize::MAX`: none).
     next: usize,
+    /// The next execution is the last to resume at the deepest
+    /// snapshot, so it takes the snapshot over instead of copying it.
+    take_deepest: bool,
     /// Prefix snapshots taken, for [`Progress::snapshots`].
     taken: u64,
     /// Transitions resumed over, for [`Progress::steps_skipped`].
     skipped: u64,
+    /// Shared-prefix transitions re-executed, for
+    /// [`Progress::steps_replayed`].
+    replayed: u64,
+    /// What the next execution will add to `replayed`.
+    to_replay: usize,
 }
 
 impl SnapshotStack {
@@ -469,52 +483,50 @@ impl SnapshotStack {
             armed: false,
             live: Vec::new(),
             free: Vec::new(),
-            every: SNAPSHOT_EVERY,
             next: usize::MAX,
+            take_deepest: false,
             taken: 0,
             skipped: 0,
+            replayed: 0,
+            to_replay: 0,
         }
     }
 
-    /// The pool slot the next snapshot's system copy goes into.
-    fn next_slot(&self) -> usize {
+    /// Makes room for one more snapshot, dropping the shallowest from a
+    /// full stack, and returns the pool slot its system copy goes into.
+    #[inline(never)]
+    fn reserve(&mut self) -> usize {
+        if self.live.len() == MAX_SNAPSHOTS {
+            let shallowest = self.live.remove(0);
+            self.free.push(shallowest);
+        }
         self.free
             .last()
             .map_or(self.live.len() + self.free.len(), |s| s.slot)
     }
 
-    /// Records a snapshot of `scratch` whose system was just saved in
-    /// slot [`SnapshotStack::next_slot`], thinning a full stack.
+    /// Records a snapshot of `st` whose system was just saved in slot
+    /// [`SnapshotStack::reserve`].
     #[inline(never)]
-    fn commit(&mut self, scratch: &ExecScratch) {
-        let slot = self.next_slot();
+    fn commit(&mut self, slot: usize, st: &ExecState) {
         let mut snap = self.free.pop().unwrap_or_else(|| Snapshot {
             slot,
-            every: 0,
             st: ExecState::default(),
         });
-        snap.st.copy_from(&scratch.st);
+        debug_assert_eq!(snap.slot, slot);
+        snap.st.copy_from(st);
         self.live.push(snap);
         self.taken += 1;
-        if self.live.len() == MAX_SNAPSHOTS {
-            // Keep the snapshots at odd positions: their depths stay
-            // evenly spaced at twice the old spacing.
-            for i in 0..MAX_SNAPSHOTS / 2 {
-                self.live.swap(i, 2 * i + 1);
-            }
-            self.free.extend(self.live.drain(MAX_SNAPSHOTS / 2..));
-            self.every *= 2;
-        }
-        let last = self.live.last_mut().expect("a snapshot was just pushed");
-        last.every = self.every;
-        self.next = last.st.depth + self.every;
+        self.next = st.depth + 1;
     }
 
     /// Prepares for the next execution, whose first `replay_depth`
     /// decisions repeat the last execution's: drops the snapshots deeper
-    /// than that.
+    /// than that and notes the steps the next execution will replay.
+    /// `reopens` tells whether the frame at `replay_depth` has an
+    /// alternative left after the one the next execution takes.
     #[inline(never)]
-    fn after_execution(&mut self, replay_depth: usize) {
+    fn after_execution(&mut self, replay_depth: usize, reopens: bool) {
         if !self.allowed {
             return;
         }
@@ -523,27 +535,42 @@ impl SnapshotStack {
             let dropped = self.live.pop().expect("checked non-empty");
             self.free.push(dropped);
         }
-        self.every = self.live.last().map_or(SNAPSHOT_EVERY, |s| s.every);
+        let resumed = self.live.last().map(|s| s.st.depth);
+        self.to_replay = replay_depth - resumed.unwrap_or(0);
+        self.take_deepest = resumed == Some(replay_depth) && !reopens;
     }
 
     /// Starts an execution from the deepest live snapshot: restores it
     /// into `scratch`, rolling the cycle map back to its depth, and
-    /// returns its slot. `None` means a start from the initial state.
+    /// returns its slot and whether the snapshot was taken over (and so
+    /// dropped from the stack). `None` means a start from the initial
+    /// state.
     #[inline(never)]
-    fn resume(&mut self, scratch: &mut ExecScratch) -> Option<usize> {
-        let snap = self.live.last()?;
-        scratch.st.copy_from(&snap.st);
-        let depth = snap.st.depth;
+    fn resume(&mut self, scratch: &mut ExecScratch) -> Option<(usize, bool)> {
+        let take = std::mem::take(&mut self.take_deepest);
+        let snap = self.live.last_mut()?;
+        let slot = snap.slot;
+        if take {
+            std::mem::swap(&mut scratch.st, &mut snap.st);
+            let taken = self.live.pop().expect("checked non-empty");
+            self.free.push(taken);
+        } else {
+            scratch.st.copy_from(&snap.st);
+        }
+        let depth = scratch.st.depth;
         scratch.seen.retain(|_, &mut d| d <= depth);
         self.skipped += depth as u64;
-        Some(snap.slot)
+        Some((slot, take))
     }
 
-    /// Schedules the running execution's first snapshot after its start
-    /// `depth`, if snapshots apply and the system supports `copies`.
-    fn arm(&mut self, depth: usize, copies: bool) {
+    /// Starts an execution: counts the steps it replays and lets it take
+    /// snapshots deeper than the deepest live one, if snapshots apply
+    /// and the system supports `copies`.
+    fn start(&mut self, copies: bool) {
+        self.replayed += std::mem::take(&mut self.to_replay) as u64;
         self.next = if self.allowed && self.armed && copies {
-            depth + self.every
+            // A snapshot of the initial state would save nothing.
+            self.live.last().map_or(1, |s| s.st.depth + 1)
         } else {
             usize::MAX
         };
@@ -668,6 +695,7 @@ where
             p.executions.store(stats.executions, Ordering::Relaxed);
             p.transitions.store(stats.transitions, Ordering::Relaxed);
             p.steps_skipped.store(snaps.skipped, Ordering::Relaxed);
+            p.steps_replayed.store(snaps.replayed, Ordering::Relaxed);
             p.snapshots.store(snaps.taken, Ordering::Relaxed);
         }
     }
@@ -810,7 +838,8 @@ where
             if !more {
                 break SearchOutcome::Complete;
             }
-            snaps.after_execution(self.strategy.replay_depth());
+            let replay_depth = self.strategy.replay_depth();
+            snaps.after_execution(replay_depth, self.strategy.revisits(replay_depth));
             if self.checkpoint_due(stats.executions) {
                 self.emit_checkpoint(&stats, base_wall, start);
             }
@@ -827,14 +856,13 @@ where
         (pool, snaps): (&mut SysPool<P>, &mut SnapshotStack),
         scratch: &mut ExecScratch,
     ) -> P {
-        if let Some(slot) = snaps.resume(scratch) {
-            let depth = scratch.st.depth;
-            snaps.arm(depth, true);
-            self.strategy.resume_at(depth);
-            return pool.restore(&mut self.factory, slot);
+        if let Some((slot, take)) = snaps.resume(scratch) {
+            snaps.start(true);
+            self.strategy.resume_at(scratch.st.depth);
+            return pool.restore(&mut self.factory, slot, take);
         }
         let sys = pool.acquire(&mut self.factory);
-        snaps.arm(0, pool.confirmed);
+        snaps.start(pool.confirmed);
         scratch.start(sys.thread_count());
         sys.enabled_set_into(&mut scratch.st.es);
         sys
@@ -934,11 +962,6 @@ where
                 }
             }
 
-            if depth == snaps.next {
-                pool.save(&mut self.factory, snaps.next_slot(), &sys);
-                snaps.commit(scratch);
-            }
-
             let st = &mut scratch.st;
             let es = &st.es;
             let schedulable: &TidSet = match &st.fair {
@@ -1024,6 +1047,13 @@ where
                 scratch.options.contains(&d),
                 "strategy picked unavailable {d:?}"
             );
+            // A frame the strategy will come back to: snapshot its state
+            // (still the pre-step one) unless a live snapshot is as deep.
+            if depth >= snaps.next && self.strategy.revisits(depth) {
+                let slot = snaps.reserve();
+                pool.save(&mut self.factory, slot, &sys);
+                snaps.commit(slot, st);
+            }
 
             // Commit the decision to the schedule *before* stepping: if
             // the workload panics inside `step`, the caller reports the

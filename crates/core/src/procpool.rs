@@ -165,8 +165,77 @@ impl Default for PoolConfig {
 pub enum TransportEvent {
     /// One protocol line from the worker (without the trailing newline).
     Line(String),
+    /// The worker sent a line longer than [`MAX_LINE_BYTES`]; nothing
+    /// more is read from it.
+    LineTooLong,
     /// The worker's output stream closed: the process is gone.
     Eof,
+}
+
+/// The longest line accepted from a peer process or socket client,
+/// line ending excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line_bounded`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineRead {
+    /// A line, now in the caller's buffer without its line ending. The
+    /// last line of a stream may lack the newline.
+    Line,
+    /// The stream ended before a new line began.
+    Eof,
+    /// The line is longer than the limit. The reader stopped inside it,
+    /// so the stream cannot be resynchronized; the caller's buffer is
+    /// empty.
+    TooLong,
+}
+
+/// Reads one line of at most `max` bytes (line ending excluded) into
+/// `line`, as [`std::io::BufRead::lines`] would, but never buffers more
+/// than `max` bytes of it: a peer that sends no newline costs the reader
+/// bounded memory. A line that is not UTF-8 is an
+/// [`std::io::ErrorKind::InvalidData`] error.
+pub fn read_line_bounded<R: std::io::BufRead + ?Sized>(
+    reader: &mut R,
+    line: &mut String,
+    max: usize,
+) -> std::io::Result<LineRead> {
+    let mut bytes = std::mem::take(line).into_bytes();
+    bytes.clear();
+    let found = loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break if bytes.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            };
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        // One byte of slack for the `\r` of a `\r\n` ending.
+        if bytes.len() + take > max + 1 {
+            return Ok(LineRead::TooLong);
+        }
+        bytes.extend_from_slice(&chunk[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+            break LineRead::Line;
+        }
+    };
+    if bytes.len() > max {
+        return Ok(LineRead::TooLong);
+    }
+    *line = String::from_utf8(bytes)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok(found)
 }
 
 /// One worker process (or an in-process fake, in tests) as the
@@ -383,7 +452,6 @@ impl ProcessWorker {
     /// Spawns `program args...` with piped stdin/stdout (stderr passes
     /// through to the supervisor's, so worker diagnostics stay visible).
     pub fn spawn(program: &std::path::Path, args: &[String]) -> Result<ProcessWorker, String> {
-        use std::io::BufRead;
         let mut child = std::process::Command::new(program)
             .args(args)
             .stdin(std::process::Stdio::piped())
@@ -395,15 +463,19 @@ impl ProcessWorker {
         let (tx, rx): (Sender<TransportEvent>, Receiver<TransportEvent>) =
             std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let reader = std::io::BufReader::new(stdout);
-            for line in reader.lines() {
-                match line {
-                    Ok(line) => {
-                        if tx.send(TransportEvent::Line(line)).is_err() {
-                            return; // supervisor dropped the worker
-                        }
+            let mut reader = std::io::BufReader::new(stdout);
+            let mut line = String::new();
+            loop {
+                let event = match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES) {
+                    Ok(LineRead::Line) => TransportEvent::Line(std::mem::take(&mut line)),
+                    Ok(LineRead::TooLong) => {
+                        let _ = tx.send(TransportEvent::LineTooLong);
+                        return;
                     }
-                    Err(_) => break,
+                    Ok(LineRead::Eof) | Err(_) => break,
+                };
+                if tx.send(event).is_err() {
+                    return; // supervisor dropped the worker
                 }
             }
             let _ = tx.send(TransportEvent::Eof);
@@ -682,6 +754,7 @@ impl<F: WorkerFactory> Supervisor<F> {
             while i < slots.len() {
                 let now = Instant::now();
                 let mut remove = false;
+                let mut violation = None;
                 loop {
                     let slot = &mut slots[i];
                     let Some(event) = slot.transport.try_recv() else {
@@ -715,24 +788,35 @@ impl<F: WorkerFactory> Supervisor<F> {
                                 }
                             }
                             Err(_) => {
-                                // Garbage on the wire: the stream cannot
-                                // be re-synchronized, so the worker dies.
-                                let mut shown = line;
-                                shown.truncate(80);
-                                self.fail_slot(
-                                    &mut slots[i],
-                                    AttemptFailure::ProtocolViolation(shown),
-                                    &mut pending,
-                                    &mut report,
-                                    &mut on_verdict,
-                                );
-                                slots[i].transport.kill();
-                                report.stats.workers_lost += 1;
-                                remove = true;
+                                // The first 80 bytes, cut at a character
+                                // boundary.
+                                let cut = (0..=line.len().min(80))
+                                    .rev()
+                                    .find(|&i| line.is_char_boundary(i))
+                                    .unwrap_or(0);
+                                violation = Some(line[..cut].to_string());
                                 break;
                             }
                         },
+                        TransportEvent::LineTooLong => {
+                            violation = Some(format!("line longer than {MAX_LINE_BYTES} bytes"));
+                            break;
+                        }
                     }
+                }
+                if let Some(shown) = violation {
+                    // Garbage on the wire: the stream cannot be
+                    // re-synchronized, so the worker dies.
+                    self.fail_slot(
+                        &mut slots[i],
+                        AttemptFailure::ProtocolViolation(shown),
+                        &mut pending,
+                        &mut report,
+                        &mut on_verdict,
+                    );
+                    slots[i].transport.kill();
+                    report.stats.workers_lost += 1;
+                    remove = true;
                 }
                 if !remove {
                     let slot = &mut slots[i];
@@ -1188,8 +1272,10 @@ mod tests {
                         ));
                     } else {
                         self.garbage_emitted = true;
+                        // Multi-byte characters straddle the 80-byte cut
+                        // of the reported line.
                         self.queue
-                            .push_back(TransportEvent::Line("!!corrupt frame!!".to_string()));
+                            .push_back(TransportEvent::Line(format!("!{}", "é".repeat(60))));
                     }
                 }
                 FakeBehavior::Hangs => {}
@@ -1328,6 +1414,95 @@ mod tests {
         assert_eq!(report.stats.workers_lost, 1);
         let v = &report.verdicts[0];
         assert_eq!(v.attempts, 2);
+    }
+
+    #[test]
+    fn bounded_line_reader_reads_lines_and_stops_at_the_limit() {
+        use std::io::Cursor;
+        let mut line = String::new();
+        let mut input = Cursor::new("a\r\nbc\n\nlast");
+        for expected in ["a", "bc", "", "last"] {
+            assert_eq!(
+                read_line_bounded(&mut input, &mut line, 4).unwrap(),
+                LineRead::Line
+            );
+            assert_eq!(line, expected);
+        }
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::Eof
+        );
+        // Exactly at the limit, then one byte over it, line ending
+        // excluded either way.
+        let mut input = Cursor::new("abcd\r\nabcde\n");
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, "abcd");
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::TooLong
+        );
+        assert!(line.is_empty());
+        // A one-byte read buffer splits lines, and `\r\n` endings,
+        // across fills.
+        let mut input = std::io::BufReader::with_capacity(1, Cursor::new("abcd\r\nabcd\rx"));
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, "abcd");
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::TooLong
+        );
+        let mut input = std::io::BufReader::with_capacity(3, Cursor::new(vec![b'x'; 1 << 12]));
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 1 << 10).unwrap(),
+            LineRead::TooLong
+        );
+        let mut input = Cursor::new(vec![0xff, b'\n']);
+        let err = read_line_bounded(&mut input, &mut line, 4).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A worker that sends a line with no newline is cut off at
+    /// [`MAX_LINE_BYTES`]: each such attempt fails as a protocol
+    /// violation and the job ends quarantined, with the supervisor
+    /// never holding more than the limit.
+    #[test]
+    fn oversized_worker_line_is_a_failed_attempt() {
+        let script = r#"
+echo ready
+while IFS= read -r line; do
+  case "$line" in
+    job\ *) head -c 2097152 /dev/zero | tr '\0' x; sleep 600 ;;
+    shutdown) exit 0 ;;
+  esac
+done
+"#;
+        let factory = ProcessWorkerFactory::new(
+            std::path::PathBuf::from("/bin/sh"),
+            vec!["-c".to_string(), script.to_string()],
+        );
+        let mut config = fast_config(1);
+        config.heartbeat_timeout = Duration::from_secs(20);
+        let report = Supervisor::new(factory, config).run(jobs(1), |_| {});
+        assert_eq!(report.stats.quarantined, 1, "{:?}", report.stats);
+        assert_eq!(report.stats.watchdog_kills, 0);
+        let JobOutcome::Quarantined { failures } = &report.verdicts[0].outcome else {
+            panic!("expected quarantine: {:?}", report.verdicts[0]);
+        };
+        assert_eq!(failures.len(), 3);
+        for f in failures {
+            assert_eq!(
+                f,
+                &AttemptFailure::ProtocolViolation(format!(
+                    "line longer than {MAX_LINE_BYTES} bytes"
+                ))
+            );
+        }
     }
 
     #[test]

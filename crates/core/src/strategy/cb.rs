@@ -303,6 +303,14 @@ impl Strategy for ContextBounded {
         }
     }
 
+    /// As for [`crate::strategy::Dfs`]: the frame has a live option past
+    /// its cursor.
+    fn revisits(&self, depth: usize) -> bool {
+        self.stack
+            .get(depth)
+            .is_some_and(|f| f.sleep.cursor + 1 < f.sleep.live.len())
+    }
+
     fn snapshot(&self) -> Option<StrategySnapshot> {
         if !self.checkpointable() {
             return None;

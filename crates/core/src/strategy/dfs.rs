@@ -297,6 +297,13 @@ impl Strategy for Dfs {
         self.stack.len().saturating_sub(1)
     }
 
+    /// The frame has a live option past its cursor.
+    fn revisits(&self, depth: usize) -> bool {
+        self.stack
+            .get(depth)
+            .is_some_and(|f| f.sleep.cursor + 1 < f.sleep.live.len())
+    }
+
     fn snapshot(&self) -> Option<StrategySnapshot> {
         if !self.checkpointable() {
             return None;

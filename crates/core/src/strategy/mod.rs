@@ -235,6 +235,16 @@ pub trait Strategy {
     fn resume_at(&mut self, depth: usize) {
         let _ = depth;
     }
+
+    /// Whether the frame at `depth` of the current execution still has
+    /// an untried alternative, so a later execution will backtrack to it
+    /// and resume there. The explorer takes its prefix snapshots at
+    /// such *open frames*. The default, `false`, makes none open, and
+    /// the explorer then takes no snapshots.
+    fn revisits(&self, depth: usize) -> bool {
+        let _ = depth;
+        false
+    }
 }
 
 impl Strategy for Box<dyn Strategy> {
@@ -268,6 +278,10 @@ impl Strategy for Box<dyn Strategy> {
 
     fn resume_at(&mut self, depth: usize) {
         (**self).resume_at(depth)
+    }
+
+    fn revisits(&self, depth: usize) -> bool {
+        (**self).revisits(depth)
     }
 }
 

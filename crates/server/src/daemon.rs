@@ -17,7 +17,7 @@
 //! submit survives any crash.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -25,7 +25,10 @@ use std::time::Duration;
 
 use chess_bench::{JournalWriter, Json};
 use chess_core::exitcode;
-use chess_core::procpool::{JobSpec, PoolConfig, ProcessWorkerFactory, Supervisor};
+use chess_core::procpool::{
+    read_line_bounded, JobSpec, LineRead, PoolConfig, ProcessWorkerFactory, Supervisor,
+    MAX_LINE_BYTES,
+};
 
 use crate::campaign::{
     journal_doc, parse_manifest, JobResult, JobValidator, Manifest, Verdict, VerdictOutcome,
@@ -392,9 +395,20 @@ fn handle_client(stream: Stream, ctx: &Arc<Ctx>) {
         return;
     };
     let mut writer = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(read_half);
+    let mut line = String::new();
+    loop {
+        match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES) {
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                // The rest of the line cannot be skipped without reading
+                // it: answer, then hang up.
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let _ = send(&mut writer, &error_response(&message));
+                return;
+            }
+            Ok(LineRead::Eof) | Err(_) => return,
+        }
         if line.trim().is_empty() {
             continue;
         }

@@ -8,7 +8,7 @@
 //! too large to exhaust are capped at a fixed execution budget, which
 //! both sides spend identically.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -20,8 +20,8 @@ use chess_core::{
     ShardRunner, SystemStatus, TransitionSystem,
 };
 use chess_kernel::{
-    Effects, GuestThread, Kernel, MemoryModel, OpDesc, OpResult, StateWriter, StepKind, ThreadId,
-    TidSet,
+    Effects, Footprint, GuestThread, Kernel, MemoryModel, OpDesc, OpResult, StateWriter, StepKind,
+    ThreadId, TidSet,
 };
 use chess_workloads::boundedbuffer::{bounded_buffer, BufferBug, BufferConfig};
 use chess_workloads::bsp::{bsp, BspConfig};
@@ -226,7 +226,7 @@ fn errors_keep_the_snapshot_stack() {
         Search::Dfs(Reduction::None),
         &config,
     );
-    let taken = progress.snapshots.load(Ordering::Relaxed);
+    let taken = snapshots(&progress);
     assert!(
         skipped(&progress) > 4 * taken,
         "{taken} snapshots skipped only {} steps",
@@ -406,7 +406,6 @@ fn depth_bound_in_a_resumed_execution_classifies_alike() {
 /// converges to the uninterrupted report.
 #[test]
 fn checkpoint_resume_with_snapshots_converges() {
-    use std::cell::RefCell;
     let factory = || wsq(WsqConfig::with_bug(WsqBug::LostTailRestore));
     let config = Config::fair().with_detect_cycles(false);
     for search in [Search::Cb(2, Reduction::None), Search::Dfs(Reduction::None)] {
@@ -458,50 +457,240 @@ fn sharded_cb2_with_snapshots_agrees() {
     }
 }
 
-/// A kernel that counts the resets the explorer asks of it.
-struct Counted {
-    inner: Kernel<chess_workloads::treiber::StackShared>,
-    resets: Rc<Cell<u64>>,
+/// What a [`Probe`] saw.
+#[derive(Default)]
+struct Tally {
+    resets: Cell<u64>,
+    steps: Cell<u64>,
+    /// The fingerprint of every terminated or deadlocked state reached.
+    terminals: RefCell<Vec<u64>>,
 }
 
-impl TransitionSystem for Counted {
+/// A system that forwards everything to `inner` and counts what the
+/// explorer asks of it in a tally shared by every instance.
+struct Probe<T> {
+    inner: T,
+    tally: Rc<Tally>,
+}
+
+impl<T: TransitionSystem> Probe<T> {
+    fn seen(&self, status: SystemStatus) -> SystemStatus {
+        if matches!(status, SystemStatus::Terminated | SystemStatus::Deadlock) {
+            self.tally
+                .terminals
+                .borrow_mut()
+                .push(self.inner.fingerprint());
+        }
+        status
+    }
+}
+
+impl<T: TransitionSystem> TransitionSystem for Probe<T> {
     fn thread_count(&self) -> usize {
         self.inner.thread_count()
     }
     fn enabled(&self, t: ThreadId) -> bool {
-        TransitionSystem::enabled(&self.inner, t)
+        self.inner.enabled(t)
     }
     fn enabled_set_into(&self, out: &mut TidSet) {
-        TransitionSystem::enabled_set_into(&self.inner, out)
+        self.inner.enabled_set_into(out)
     }
     fn reset_from(&mut self, template: &Self) -> bool {
-        self.resets.set(self.resets.get() + 1);
-        TransitionSystem::reset_from(&mut self.inner, &template.inner)
+        self.tally.resets.set(self.tally.resets.get() + 1);
+        self.inner.reset_from(&template.inner)
     }
     fn is_yielding(&self, t: ThreadId) -> bool {
-        TransitionSystem::is_yielding(&self.inner, t)
+        self.inner.is_yielding(t)
     }
     fn branching(&self, t: ThreadId) -> usize {
-        TransitionSystem::branching(&self.inner, t)
+        self.inner.branching(t)
     }
     fn step(&mut self, t: ThreadId, choice: u32) -> StepKind {
-        TransitionSystem::step(&mut self.inner, t, choice)
+        self.tally.steps.set(self.tally.steps.get() + 1);
+        self.inner.step(t, choice)
+    }
+    fn footprint_into(&self, t: ThreadId, fp: &mut Footprint) {
+        self.inner.footprint_into(t, fp)
+    }
+    fn is_flush(&self, t: ThreadId) -> bool {
+        self.inner.is_flush(t)
     }
     fn status(&self) -> SystemStatus {
-        TransitionSystem::status(&self.inner)
+        self.seen(self.inner.status())
+    }
+    fn status_with_enabled(&self, enabled: &TidSet) -> SystemStatus {
+        self.seen(self.inner.status_with_enabled(enabled))
     }
     fn fingerprint(&self) -> u64 {
-        TransitionSystem::fingerprint(&self.inner)
+        self.inner.fingerprint()
     }
     fn state_bytes(&self) -> Vec<u8> {
-        TransitionSystem::state_bytes(&self.inner)
+        self.inner.state_bytes()
     }
     fn describe_op(&self, t: ThreadId) -> String {
-        TransitionSystem::describe_op(&self.inner, t)
+        self.inner.describe_op(t)
     }
     fn thread_name(&self, t: ThreadId) -> String {
-        TransitionSystem::thread_name(&self.inner, t)
+        self.inner.thread_name(t)
     }
+}
+
+/// Runs `search` through a [`Probe`] around `factory`'s systems and
+/// returns the report, the progress counters and the tally.
+fn probe<T, F>(
+    factory: F,
+    search: Search,
+    config: &Config,
+) -> (SearchReport, Arc<Progress>, Rc<Tally>)
+where
+    T: TransitionSystem,
+    F: Fn() -> T,
+{
+    let tally = Rc::new(Tally::default());
+    let probed = || Probe {
+        inner: factory(),
+        tally: Rc::clone(&tally),
+    };
+    let (report, progress) = run(probed, search, config);
+    (report, progress, tally)
+}
+
+fn replayed(p: &Progress) -> u64 {
+    p.steps_replayed.load(Ordering::Relaxed)
+}
+
+fn snapshots(p: &Progress) -> u64 {
+    p.snapshots.load(Ordering::Relaxed)
+}
+
+/// Snapshots restore the very states replay reaches: the multiset of
+/// terminal-state fingerprints is the same with pooling on and off,
+/// under dfs and cb:2, plain and with sleep sets. Returns the steps the
+/// snapshot runs skipped.
+fn terminal_states_agree<T, F>(name: &str, factory: F) -> u64
+where
+    T: TransitionSystem,
+    F: Fn() -> T,
+{
+    let config = Config::fair()
+        .with_stop_on_error(false)
+        .with_max_executions(BUDGET);
+    let mut skips = 0;
+    for reduction in [Reduction::None, Reduction::SleepSets] {
+        for search in [Search::Dfs(reduction), Search::Cb(2, reduction)] {
+            let (_, plain_progress, plain) =
+                probe(&factory, search, &config.clone().with_pooling(false));
+            let (_, progress, snap) = probe(&factory, search, &config);
+            let sorted = |t: &Tally| {
+                let mut v = t.terminals.borrow().clone();
+                v.sort_unstable();
+                v
+            };
+            assert!(!plain.terminals.borrow().is_empty(), "{name} {search:?}");
+            assert_eq!(sorted(&snap), sorted(&plain), "{name} {search:?}");
+            assert_eq!(skipped(&plain_progress), 0, "{name}: pooling off resumed");
+            skips += skipped(&progress);
+        }
+    }
+    skips
+}
+
+#[test]
+fn snapshots_restore_the_states_replay_reaches() {
+    let skips = [
+        terminal_states_agree("counter", || locked_counter(2)),
+        terminal_states_agree("counter/deadlock", deadlock_pair),
+        terminal_states_agree("philosophers", || {
+            philosophers(PhilosophersConfig::table2(3))
+        }),
+        terminal_states_agree("wsq", || wsq(WsqConfig::table2(2))),
+        terminal_states_agree("wsq/unsync-steal", || {
+            wsq(WsqConfig::with_bug(WsqBug::UnsynchronizedSteal))
+        }),
+        terminal_states_agree("promise", || promises(PromiseConfig::correct())),
+        terminal_states_agree("workerpool", || worker_pool(PoolConfig::correct())),
+        terminal_states_agree("channels", || fifo_pipeline(FifoConfig::correct())),
+        terminal_states_agree("boundedbuffer", || bounded_buffer(BufferConfig::correct())),
+        terminal_states_agree("treiber/aba", || treiber_stack(TreiberConfig::aba())),
+        terminal_states_agree("rwcache", || rw_cache(RwCacheConfig::correct())),
+        terminal_states_agree("bsp", || bsp(BspConfig::correct())),
+        terminal_states_agree("miniboot", || miniboot(BootConfig::small())),
+    ];
+    assert!(skips.iter().all(|&s| s > 0), "{skips:?}");
+    for memory in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+        terminal_states_agree("dekker", || dekker(memory));
+        terminal_states_agree("iriw", || iriw(memory));
+    }
+}
+
+/// Every step a resume skips is one the explorer does not execute: the
+/// system steps exactly `transitions − steps_skipped` times.
+#[test]
+fn executed_steps_are_transitions_minus_skipped() {
+    let config = Config::fair().with_max_executions(BUDGET);
+    for search in [
+        Search::Dfs(Reduction::None),
+        Search::Cb(2, Reduction::None),
+        Search::Cb(2, Reduction::SleepSets),
+        Search::Random(3),
+    ] {
+        let (report, progress, tally) = probe(|| wsq(WsqConfig::table2(2)), search, &config);
+        assert_eq!(
+            tally.steps.get(),
+            report.stats.transitions - skipped(&progress),
+            "{search:?}"
+        );
+    }
+}
+
+/// The explorer's cap on live snapshots (`MAX_SNAPSHOTS`).
+const SNAPSHOT_CAP: usize = 6;
+
+/// Searches at most as deep as the snapshot cap never evict,
+/// so every open frame is snapshotted the first time an armed execution
+/// passes it: after the second execution, which replays the first's
+/// prefix from the initial state, no execution replays a step; and each
+/// open frame is copied once, so there are at most as many snapshots
+/// as executions plus depth (a tree has fewer branching nodes than
+/// leaves).
+#[test]
+fn shallow_searches_replay_only_their_second_execution() {
+    let mut shallow = 0;
+    for memory in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+        type Litmus = fn(MemoryModel) -> Kernel<chess_workloads::litmus::LitmusShared>;
+        let tests: [(&str, Litmus); 6] = [
+            ("sb", store_buffering),
+            ("dekker", dekker),
+            ("dekker-fenced", dekker_fenced),
+            ("mp", message_passing),
+            ("lb", load_buffering),
+            ("iriw", iriw),
+        ];
+        for (name, litmus) in tests {
+            for search in [
+                Search::Dfs(Reduction::None),
+                Search::Dfs(Reduction::SleepSets),
+            ] {
+                let config = Config::fair();
+                let (report, progress) = run(|| litmus(memory), search, &config);
+                if report.stats.max_depth > SNAPSHOT_CAP || report.stats.executions < 3 {
+                    continue;
+                }
+                shallow += 1;
+                let (_, two) = run(|| litmus(memory), search, &config.with_max_executions(2));
+                let what = format!("{name}/{memory:?} {search:?}");
+                assert!(replayed(&two) > 0, "{what}: the second execution replays");
+                assert_eq!(replayed(&progress), replayed(&two), "{what}");
+                assert!(
+                    snapshots(&progress) <= report.stats.executions + report.stats.max_depth as u64,
+                    "{what}: {} snapshots, {:?}",
+                    snapshots(&progress),
+                    report.stats
+                );
+            }
+        }
+    }
+    assert!(shallow >= 10, "only {shallow} searches were shallow");
 }
 
 /// A random walk shares no prefix between executions, so it takes no
@@ -509,17 +698,14 @@ impl TransitionSystem for Counted {
 /// the first.
 #[test]
 fn random_walks_take_no_snapshots() {
-    let resets = Rc::new(Cell::new(0));
-    let factory = || Counted {
-        inner: treiber_stack(TreiberConfig::correct()),
-        resets: Rc::clone(&resets),
-    };
+    let factory = || treiber_stack(TreiberConfig::correct());
     let config = Config::fair().with_max_executions(200);
-    let (report, progress) = run(factory, Search::Random(3), &config);
+    let (report, progress, tally) = probe(factory, Search::Random(3), &config);
     assert_eq!(report.stats.executions, 200);
-    assert_eq!(resets.get(), report.stats.executions - 1);
-    assert_eq!(progress.snapshots.load(Ordering::Relaxed), 0);
+    assert_eq!(tally.resets.get(), report.stats.executions - 1);
+    assert_eq!(snapshots(&progress), 0);
     assert_eq!(skipped(&progress), 0);
+    assert_eq!(replayed(&progress), 0);
     assert_eq!(
         zero_wall(report),
         zero_wall(run(factory, Search::Random(3), &config.with_pooling(false)).0)
@@ -531,12 +717,8 @@ fn random_walks_take_no_snapshots() {
 /// strategy's doing.
 #[test]
 fn systematic_search_through_the_wrapper_snapshots() {
-    let resets = Rc::new(Cell::new(0));
-    let factory = || Counted {
-        inner: treiber_stack(TreiberConfig::correct()),
-        resets: Rc::clone(&resets),
-    };
+    let factory = || treiber_stack(TreiberConfig::correct());
     let config = Config::fair().with_max_executions(200);
-    let (_, progress) = run(factory, Search::Cb(2, Reduction::None), &config);
-    assert!(progress.snapshots.load(Ordering::Relaxed) > 0);
+    let (_, progress, _) = probe(factory, Search::Cb(2, Reduction::None), &config);
+    assert!(snapshots(&progress) > 0);
 }
