@@ -38,7 +38,7 @@ impl Budget {
         }
     }
 
-    /// A tiny budget for smoke tests and Criterion benches.
+    /// A tiny budget for smoke tests.
     pub fn quick() -> Self {
         Budget {
             per_cell: Duration::from_secs(2),

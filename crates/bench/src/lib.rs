@@ -13,13 +13,6 @@
 //! | `table3` | Table 3: executions/time to first bug, fair vs. unfair |
 //! | `liveness` | §4.3: the good-samaritan violation and the Promise livelock |
 //!
-//! `bench` is not a paper artifact: it is the raw-speed harness behind
-//! `results/BENCH_scaling.json`, the per-PR executions/sec trajectory of
-//! the execution core (see [`perf`]).
-//!
-//! The Criterion benches in `benches/` measure the same experiments at
-//! reduced scale plus the scheduler's microscopic overhead.
-//!
 //! Budgets: every potentially-unbounded search takes a wall-clock budget;
 //! cells that hit it are marked with `*`, mirroring the paper's timeout
 //! markers. Set `REPRO_BUDGET_SECS` to change the per-cell budget
@@ -32,7 +25,6 @@ pub mod experiments;
 pub mod journal;
 pub mod json;
 pub mod output;
-pub mod perf;
 
 pub use experiments::*;
 pub use journal::{
@@ -42,7 +34,3 @@ pub use journal::{
 };
 pub use json::{schedule_from_json, schedule_to_json, Json, ToJson};
 pub use output::*;
-pub use perf::{
-    check_against_baseline, peak_rss_kb, perf_matrix, serve_overhead_row, serve_worker_main,
-    workload_names, PerfMode, PerfReport, PerfRow,
-};

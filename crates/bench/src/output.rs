@@ -98,14 +98,6 @@ pub fn persist(name: &str, text: &str, json: &crate::json::Json) {
     }
     let _ = fs::write(dir.join(format!("{name}.txt")), text);
     let _ = fs::write(dir.join(format!("{name}.json")), json.to_string_pretty());
-    // The perf-trajectory tooling scans `BENCH_*.json` at the repo root,
-    // not under results/ — mirror benchmark documents there so the
-    // trajectory stays populated.
-    if name.starts_with("BENCH_") {
-        if let Some(root) = dir.parent() {
-            let _ = fs::write(root.join(format!("{name}.json")), json.to_string_pretty());
-        }
-    }
 }
 
 #[cfg(test)]

@@ -184,9 +184,10 @@ pub enum LineRead {
     Line,
     /// The stream ended before a new line began.
     Eof,
-    /// The line is longer than the limit. The reader stopped inside it,
-    /// so the stream cannot be resynchronized; the caller's buffer is
-    /// empty.
+    /// The line is longer than the limit; the caller's buffer is empty.
+    /// The reader stopped before the line's newline (or at the end of
+    /// the stream), so the caller can either skip to the next line or
+    /// give up on the stream.
     TooLong,
 }
 
@@ -217,8 +218,14 @@ pub fn read_line_bounded<R: std::io::BufRead + ?Sized>(
         }
         let newline = chunk.iter().position(|&b| b == b'\n');
         let take = newline.unwrap_or(chunk.len());
-        // One byte of slack for the `\r` of a `\r\n` ending.
-        if bytes.len() + take > max + 1 {
+        // One byte of slack for the `\r` of a `\r\n` ending: always
+        // while the newline is not yet in sight, and only for a real
+        // `\r` once it is, so an over-long line is never consumed.
+        let cr = match newline {
+            Some(_) => chunk[..take].last().or(bytes.last()) == Some(&b'\r'),
+            None => true,
+        };
+        if bytes.len() + take > max + usize::from(cr) {
             return Ok(LineRead::TooLong);
         }
         bytes.extend_from_slice(&chunk[..take]);
@@ -1052,8 +1059,9 @@ pub type JobProgress = Progress;
 ///
 /// `handler(id, attempt, payload, progress)` returns the result payload
 /// or an error message. A handler panic is caught and reported as an
-/// `error` line; the worker survives for the next job.
-pub fn worker_main<R, W, H>(input: R, mut output: W, heartbeat_interval: Duration, handler: H)
+/// `error` line; the worker survives for the next job. An input line
+/// longer than [`MAX_LINE_BYTES`] is skipped like any unparsable line.
+pub fn worker_main<R, W, H>(mut input: R, mut output: W, heartbeat_interval: Duration, handler: H)
 where
     R: std::io::BufRead,
     W: std::io::Write,
@@ -1068,10 +1076,17 @@ where
         let _ = output.flush();
     };
     emit(WorkerMsg::Ready);
-    for line in input.lines() {
-        let Ok(line) = line else {
-            break;
-        };
+    let mut line = String::new();
+    loop {
+        match read_line_bounded(&mut input, &mut line, MAX_LINE_BYTES) {
+            Ok(LineRead::Line) => {}
+            // Garbage like any unparsable line: skip the rest of it.
+            Ok(LineRead::TooLong) => match input.skip_until(b'\n') {
+                Ok(_) => continue,
+                Err(_) => break,
+            },
+            Ok(LineRead::Eof) | Err(_) => break,
+        }
         let msg = match SupervisorMsg::parse(&line) {
             Ok(msg) => msg,
             Err(_) => continue, // tolerate garbage from the supervisor
@@ -1462,6 +1477,19 @@ mod tests {
             read_line_bounded(&mut input, &mut line, 1 << 10).unwrap(),
             LineRead::TooLong
         );
+        // An over-long line is never consumed, even when its newline is
+        // in the buffer, so skipping to that newline resynchronizes.
+        let mut input = Cursor::new("abcde\nok\n");
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::TooLong
+        );
+        std::io::BufRead::skip_until(&mut input, b'\n').unwrap();
+        assert_eq!(
+            read_line_bounded(&mut input, &mut line, 4).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, "ok");
         let mut input = Cursor::new(vec![0xff, b'\n']);
         let err = read_line_bounded(&mut input, &mut line, 4).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -1674,6 +1702,17 @@ done
             .find(|l| l.starts_with("error a "))
             .expect("panic surfaces as error");
         assert!(err.contains("handler panicked"), "{err}");
+    }
+
+    #[test]
+    fn worker_main_skips_an_over_long_line_and_serves_the_next_job() {
+        let long = format!("job big 1 {}\n", "x".repeat(MAX_LINE_BYTES));
+        let lines = drive_worker(&format!("{long}job b 1 p\nshutdown\n"), None);
+        assert!(
+            lines.contains(&"result b ok:b:1:p".to_string()),
+            "{lines:?}"
+        );
+        assert!(!lines.iter().any(|l| l.contains(" big ")), "{lines:?}");
     }
 
     #[test]

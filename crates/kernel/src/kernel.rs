@@ -410,11 +410,6 @@ impl<S> Kernel<S> {
         memo.invalidate_all(n);
     }
 
-    /// Is incremental fingerprint caching armed?
-    pub fn fingerprint_caching(&self) -> bool {
-        self.fp_cache.borrow().enabled
-    }
-
     /// Dirties the object-table segment of the fingerprint cache.
     fn touch_objects(&mut self) {
         self.fp_cache.get_mut().objects_dirty = true;
