@@ -178,13 +178,11 @@ pub fn snapshot_to_json(snapshot: &StrategySnapshot) -> Json {
             stack,
             horizon,
             rng,
-            prefer_continuation,
         } => Json::object([
             ("kind", Json::Str("dfs".into())),
             ("stack", frames_to_json(stack)),
             ("horizon", opt_usize_to_json(*horizon)),
             ("rng", rng_to_json(rng)),
-            ("prefer_continuation", Json::Bool(*prefer_continuation)),
         ]),
         StrategySnapshot::Cb {
             bound,
@@ -225,15 +223,23 @@ pub fn snapshot_from_json(json: &Json) -> Result<StrategySnapshot, String> {
         .ok_or("journal: snapshot has no kind")?;
     let stack = |j: &Json| frames_from_json(j.get("stack").unwrap_or(&Json::Array(Vec::new())));
     match kind {
-        "dfs" => Ok(StrategySnapshot::Dfs {
-            stack: stack(json)?,
-            horizon: opt_usize_from_json(json.get("horizon"))?,
-            rng: rng_from_json(json.get("rng").ok_or("journal: dfs snapshot has no rng")?)?,
-            prefer_continuation: json
-                .get("prefer_continuation")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        }),
+        "dfs" => {
+            // Journals of older versions carry the continuation-first
+            // ordering this search no longer has; resuming one that used
+            // it would silently run a different search.
+            if json.get("prefer_continuation").and_then(Json::as_bool) == Some(true) {
+                return Err(
+                    "journal: dfs snapshot uses the continuation-first ordering, \
+                     which this version cannot resume"
+                        .into(),
+                );
+            }
+            Ok(StrategySnapshot::Dfs {
+                stack: stack(json)?,
+                horizon: opt_usize_from_json(json.get("horizon"))?,
+                rng: rng_from_json(json.get("rng").ok_or("journal: dfs snapshot has no rng")?)?,
+            })
+        }
         "cb" => Ok(StrategySnapshot::Cb {
             bound: field_u64(json, "bound")? as u32,
             budget: field_u64(json, "budget")? as u32,
@@ -696,7 +702,6 @@ mod tests {
                 stack: frames.clone(),
                 horizon: Some(30),
                 rng: [1, 2, 3, 4],
-                prefer_continuation: true,
             },
             StrategySnapshot::Cb {
                 bound: 2,
@@ -716,6 +721,32 @@ mod tests {
             let back = snapshot_from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, snap);
         }
+    }
+
+    /// A dfs snapshot written before the continuation-first ordering was
+    /// removed resumes when it did not use it and is refused when it did.
+    #[test]
+    fn dfs_snapshot_refuses_the_continuation_first_ordering() {
+        let snap = StrategySnapshot::Dfs {
+            stack: vec![FrameSnapshot {
+                options: vec![d(0, 0), d(1, 0)],
+                index: 1,
+            }],
+            horizon: None,
+            rng: [1, 2, 3, 4],
+        };
+        let json = snapshot_to_json(&snap);
+        assert!(json.get("prefer_continuation").is_none());
+        let with = |flag: bool| {
+            let Json::Object(mut pairs) = json.clone() else {
+                panic!("a snapshot is an object")
+            };
+            pairs.push(("prefer_continuation".into(), Json::Bool(flag)));
+            snapshot_from_json(&Json::Object(pairs))
+        };
+        assert_eq!(with(false), Ok(snap));
+        let err = with(true).unwrap_err();
+        assert!(err.contains("continuation-first"), "{err}");
     }
 
     #[test]

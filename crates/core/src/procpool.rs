@@ -1505,7 +1505,7 @@ mod tests {
 echo ready
 while IFS= read -r line; do
   case "$line" in
-    job\ *) head -c 2097152 /dev/zero | tr '\0' x; sleep 600 ;;
+    job\ *) head -c 2097152 /dev/zero | tr '\0' x; exec sleep 600 ;;
     shutdown) exit 0 ;;
   esac
 done
@@ -1769,7 +1769,7 @@ echo ready
 while IFS= read -r line; do
   case "$line" in
     job\ *) set -- $line
-      if [ "$3" = "1" ]; then sleep 600; else echo "result $2 recovered"; fi ;;
+      if [ "$3" = "1" ]; then exec sleep 600; else echo "result $2 recovered"; fi ;;
     shutdown) exit 0 ;;
   esac
 done

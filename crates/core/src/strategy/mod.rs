@@ -6,26 +6,19 @@
 //! decisions, and once at the end of each execution to decide whether and
 //! where to backtrack.
 
+mod backtrack;
 mod cb;
 mod dfs;
 mod random;
 mod replay;
 mod sleep;
 
-pub use cb::ContextBounded;
-pub use dfs::Dfs;
+pub use backtrack::{Backtracking, Order, Position};
+pub use cb::{Bounded, ContextBounded};
+pub use dfs::{Dfs, Unbounded};
 pub use random::RandomWalk;
 pub use replay::FixedSchedule;
 pub use sleep::Reduction;
-
-use crate::trace::Schedule;
-
-/// Converts the committed backtracking prefix of a snapshot into the
-/// replay schedule it denotes — the decisions the next execution takes
-/// through the already-explored part of the tree.
-pub fn snapshot_prefix(stack: &[FrameSnapshot]) -> Schedule {
-    stack.iter().map(|f| f.options[f.index]).collect()
-}
 
 use chess_kernel::{Footprint, ThreadId};
 
@@ -134,8 +127,6 @@ pub enum StrategySnapshot {
         horizon: Option<usize>,
         /// xoshiro256++ words of the random-tail generator.
         rng: [u64; 4],
-        /// Whether the continuation-first ordering is active.
-        prefer_continuation: bool,
     },
     /// State of a [`ContextBounded`] search.
     Cb {

@@ -110,25 +110,11 @@ pub(crate) struct SleepFrame {
     /// Whether the fairness priority filtered the enabled set at this
     /// node (disables pruning and propagation, see the module docs).
     pub fairness_filtered: bool,
-    /// The context-bounded search's preemption budget on arrival at this
-    /// node, which [`crate::strategy::Strategy::resume_at`] restores
-    /// (unused by dfs). It lives here, in the padding after
-    /// `fairness_filtered`, so a deep cb stack takes no extra memory.
-    pub budget: u32,
 }
 
 impl SleepFrame {
-    /// An inert frame over `n` options: identity `live`, no sleep state.
-    pub fn inert(n: usize) -> Self {
-        SleepFrame {
-            live: (0..n).collect(),
-            ..SleepFrame::default()
-        }
-    }
-
     /// Resets this frame to the inert state over `n` options: identity
-    /// `live`, no sleep state. Reuses the frame's buffers — the pooled
-    /// counterpart of [`SleepFrame::inert`].
+    /// `live`, no sleep state. Reuses the frame's buffers.
     pub fn make_inert(&mut self, n: usize) {
         self.footprints.clear();
         self.sleep.clear();
@@ -138,43 +124,15 @@ impl SleepFrame {
         self.fairness_filtered = false;
     }
 
-    /// Builds the sleep state for a new frame whose ordered options and
-    /// parallel footprints are given, inheriting from `parent` (the frame
-    /// one level up, whose `cursor` names the edge just taken), under the
-    /// node-local fairness exemption carried by `point`.
-    ///
-    /// Returns `None` when every option is asleep: the node is entirely
-    /// pruned and the caller must abandon the execution without pushing a
-    /// frame.
-    ///
-    /// The strategies drive [`SleepFrame::rederive`] on recycled frames
-    /// directly; this allocating constructor is kept for the unit tests.
-    #[cfg(test)]
-    pub fn derive(
-        options: &[Decision],
-        footprints: Vec<Footprint>,
-        parent: Option<&SleepFrame>,
-        parent_options: Option<&[Decision]>,
-        point: &SchedulePoint<'_>,
-    ) -> Option<Self> {
-        let mut frame = SleepFrame {
-            footprints,
-            ..SleepFrame::default()
-        };
-        let parent = match (parent, parent_options) {
-            (Some(p), Some(po)) => Some((p, po)),
-            _ => None,
-        };
-        frame.rederive(options, parent, point).then_some(frame)
-    }
-
-    /// [`SleepFrame::derive`] in place: re-initializes this (typically
-    /// recycled) frame's sleep state, reusing its `sleep` and `live`
-    /// buffers. The caller must have already filled `self.footprints`
-    /// with the footprints parallel to `options` (or cleared it when the
-    /// point carries none). Returns `false` when every option is asleep
-    /// — the caller must abandon the execution without pushing the
-    /// frame.
+    /// Builds the sleep state of a new (typically recycled) frame in
+    /// place, reusing its `sleep` and `live` buffers: inherits from
+    /// `parent` (the frame one level up with its options, whose `cursor`
+    /// names the edge just taken), under the node-local fairness
+    /// exemption carried by `point`. The caller must have already filled
+    /// `self.footprints` with the footprints parallel to `options` (or
+    /// cleared it when the point carries none). Returns `false` when
+    /// every option is asleep — the caller must abandon the execution
+    /// without pushing the frame.
     pub fn rederive(
         &mut self,
         options: &[Decision],
@@ -253,23 +211,40 @@ impl SleepFrame {
             }
         }
     }
-
-    /// Allocating wrapper over [`SleepFrame::child_sleep_into`], kept for
-    /// the unit tests' convenience.
-    #[cfg(test)]
-    fn child_sleep(&self, options: &[Decision]) -> Vec<SleepEntry> {
-        let mut out = Vec::new();
-        let mut n = 0;
-        self.child_sleep_into(options, &mut out, &mut n);
-        out.truncate(n);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use chess_kernel::{Access, AccessKind, ObjectRef, ThreadId};
+
+    impl SleepFrame {
+        /// Allocating constructor over [`SleepFrame::rederive`]: `None`
+        /// when every option is asleep.
+        fn derive(
+            options: &[Decision],
+            footprints: Vec<Footprint>,
+            parent: Option<&SleepFrame>,
+            parent_options: Option<&[Decision]>,
+            point: &SchedulePoint<'_>,
+        ) -> Option<Self> {
+            let mut frame = SleepFrame {
+                footprints,
+                ..SleepFrame::default()
+            };
+            let parent = parent.zip(parent_options);
+            frame.rederive(options, parent, point).then_some(frame)
+        }
+
+        /// Allocating wrapper over [`SleepFrame::child_sleep_into`].
+        fn child_sleep(&self, options: &[Decision]) -> Vec<SleepEntry> {
+            let mut out = Vec::new();
+            let mut n = 0;
+            self.child_sleep_into(options, &mut out, &mut n);
+            out.truncate(n);
+            out
+        }
+    }
 
     fn d(t: usize) -> Decision {
         Decision::run(ThreadId::new(t))
