@@ -312,6 +312,30 @@ fn protocol_garbage_gets_a_structured_error_and_the_daemon_survives() {
     daemon.shutdown();
 }
 
+/// Two daemons never share a store: a second daemon on the same
+/// `--store` (on its own socket) exits with a usage error naming the
+/// first one's pid, and the first keeps serving.
+#[test]
+fn second_daemon_on_the_same_store_is_refused() {
+    let dir = temp_dir("lock");
+    let daemon = Daemon::start(&dir, "store");
+    let other_sock = dir.join("other.sock");
+    let out = fair_chess(&[
+        "daemon",
+        "--listen",
+        other_sock.to_str().unwrap(),
+        "--store",
+        &daemon.store,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let expected = format!("is in use by another daemon (pid {})", daemon.child.id());
+    assert!(stderr(&out).contains(&expected), "{out:?}");
+    assert!(!other_sock.exists(), "the refused daemon bound its socket");
+    let after = fair_chess(&["status", "--connect", &daemon.sock]);
+    assert_eq!(after.status.code(), Some(0), "{after:?}");
+    daemon.shutdown();
+}
+
 /// Error surfaces: a manifest that fails validation is refused at
 /// submit, and unknown campaign digests are structured errors.
 #[test]

@@ -1,10 +1,10 @@
 //! The stateless explorer: repeatedly executes the program under the
 //! control of a strategy (and optionally the fair scheduler), re-creating
 //! the program from a factory for every execution — no visited-state set
-//! is ever kept. With pooling on, a `dfs` or `cb` execution starts from a
-//! snapshot of a state on the prefix it shares with the previous
-//! execution (a prefix snapshot, taken where the search branches;
-//! DESIGN.md §12.4) instead of re-executing that prefix.
+//! is ever kept. With pooling on and a resumable observer, a `dfs` or
+//! `cb` execution starts from a snapshot of a state on the prefix it
+//! shares with the previous execution (a prefix snapshot, taken where the
+//! search branches; DESIGN.md §12.4) instead of re-executing that prefix.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,12 +131,13 @@ pub struct Config {
     /// depth-bound hit is classified as a good-samaritan suspect.
     pub gs_threshold: u64,
     /// Reuse the previous execution's system allocations when building
-    /// the next one (see [`TransitionSystem::reset_from`]), and let
-    /// [`Explorer::run`] resume executions of `dfs` and `cb` searches
-    /// from prefix snapshots instead of re-executing the prefix they
-    /// share with the previous execution. On by default; disable to
-    /// force the from-scratch reference path the equivalence tests
-    /// compare against.
+    /// the next one (see [`TransitionSystem::reset_from`]), and resume
+    /// executions of `dfs` and `cb` searches from prefix snapshots
+    /// instead of re-executing the prefix they share with the previous
+    /// execution, unless the search's observer refuses
+    /// ([`Observer::resumable`]). On by default; disable to force the
+    /// from-scratch reference path the equivalence tests compare
+    /// against.
     pub pooling: bool,
 }
 
@@ -449,8 +450,8 @@ struct Snapshot {
 /// its shallowest. This bookkeeping is independent of the system type,
 /// so it is compiled once; only the system copies are generic.
 struct SnapshotStack {
-    /// Snapshots may apply to this search: pooling is on and no
-    /// observer needs to see the skipped states.
+    /// Snapshots may apply to this search: pooling is on and the
+    /// observer is [`Observer::resumable`].
     allowed: bool,
     /// The strategy has reported a shared prefix, so snapshots pay off.
     armed: bool,
@@ -738,26 +739,28 @@ where
         });
     }
 
-    /// Runs the search with no observer. Executions of `dfs` and `cb`
-    /// searches resume from prefix snapshots when [`Config::pooling`] is
-    /// on; the report is the same either way.
+    /// Runs the search with no observer: [`Explorer::run_observed`]
+    /// with a [`NullObserver`].
     pub fn run(&mut self) -> SearchReport {
-        self.search(&mut NullObserver, self.config.pooling)
+        self.run_observed(&mut NullObserver)
     }
 
-    /// Runs the search, reporting every visited state to `obs`. Every
-    /// execution runs from the initial state, so `obs` sees each state
-    /// occurrence.
+    /// Runs the search, reporting every executed state to `obs`.
+    /// Executions of `dfs` and `cb` searches resume from prefix
+    /// snapshots when [`Config::pooling`] is on and `obs` is
+    /// [`Observer::resumable`]; otherwise every execution runs from the
+    /// initial state and `obs` sees each state occurrence. The report is
+    /// the same either way.
     pub fn run_observed(&mut self, obs: &mut dyn Observer<P>) -> SearchReport {
-        self.search(obs, false)
+        self.search(obs)
     }
 
-    fn search(&mut self, obs: &mut dyn Observer<P>, snapshots: bool) -> SearchReport {
+    fn search(&mut self, obs: &mut dyn Observer<P>) -> SearchReport {
         let start = Instant::now();
         let deadline = self.config.time_budget.map(|d| start + d);
         let base_wall = self.initial_stats.wall;
         let mut stats = self.initial_stats.clone();
-        let mut snaps = SnapshotStack::new(snapshots);
+        let mut snaps = SnapshotStack::new(self.config.pooling && obs.resumable());
         self.publish_progress(&stats, &snaps);
         // The schedule of the in-flight execution lives outside
         // `one_execution` so that it survives a workload panic: the

@@ -1108,6 +1108,10 @@ mod tests {
     struct Terminals(std::collections::BTreeSet<Vec<u8>>);
 
     impl<P: TransitionSystem + ?Sized> crate::Observer<P> for Terminals {
+        fn resumable(&self) -> bool {
+            true
+        }
+
         fn on_execution_end(&mut self, sys: &P, _depth: usize) {
             if matches!(sys.status(), SystemStatus::Terminated) {
                 self.0.insert(sys.state_bytes());

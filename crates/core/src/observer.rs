@@ -9,9 +9,22 @@ use crate::system::TransitionSystem;
 
 /// Callbacks invoked by the explorer during a search.
 ///
-/// `on_state` is called for the initial state of every execution and
-/// after every transition — i.e. once per *visited state occurrence*.
+/// `on_state` is called once per *executed* state: for the initial state
+/// of an execution that starts from it and after every transition. An
+/// observer that is [`Observer::resumable`] also lets executions resume
+/// from prefix snapshots ([`crate::Config::pooling`]); it then does not
+/// see the states of the prefix a resumed execution skips, each of which
+/// it saw in an earlier execution. Any other observer sees every state
+/// occurrence of every execution.
 pub trait Observer<P: TransitionSystem + ?Sized> {
+    /// Whether seeing the states of a skipped prefix again would tell
+    /// this observer nothing, so executions may resume from prefix
+    /// snapshots. True for observers that record sets of states or
+    /// terminal states; the default refuses. Read once per search.
+    fn resumable(&self) -> bool {
+        false
+    }
+
     /// A state has been reached (`depth` transitions into the current
     /// execution; `depth == 0` is the initial state).
     fn on_state(&mut self, sys: &P, depth: usize) {
@@ -28,10 +41,15 @@ pub trait Observer<P: TransitionSystem + ?Sized> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl<P: TransitionSystem + ?Sized> Observer<P> for NullObserver {}
+impl<P: TransitionSystem + ?Sized> Observer<P> for NullObserver {
+    fn resumable(&self) -> bool {
+        true
+    }
+}
 
 /// An observer that counts state occurrences (not distinct states; use
-/// `chess-state`'s coverage tracker for that).
+/// `chess-state`'s coverage tracker for that). It is not resumable, so it
+/// counts every state occurrence of every execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingObserver {
     /// Number of `on_state` callbacks received.

@@ -1,7 +1,9 @@
 //! The campaign daemon: a socket front end over the process pool and
 //! the persistent store.
 //!
-//! One daemon owns one `--store` directory and one listen address.
+//! One daemon owns one `--store` directory and one listen address. It
+//! holds an exclusive lock on `<store>/lock` while it runs, so a second
+//! daemon on the same store refuses to start.
 //! Campaigns are keyed by manifest digest and run strictly FIFO (one
 //! at a time — the pool underneath already saturates the machine);
 //! every verdict is journaled to the store the moment it arrives, so
@@ -17,8 +19,9 @@
 //! submit survives any crash.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::{BufReader, Write};
-use std::path::PathBuf;
+use std::fs::{File, TryLockError};
+use std::io::{BufReader, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -141,16 +144,50 @@ struct Ctx {
     fallback: Option<FallbackRunner>,
 }
 
-/// Runs the daemon until a `shutdown` request: binds the listener,
-/// resumes the store, and serves the protocol.
+/// Takes the exclusive lock on `<store>/lock` and writes this process's
+/// pid into it, for the error a second daemon reports. The lock lasts as
+/// long as the returned file. It is not inherited by re-exec'd workers
+/// (Rust opens files close-on-exec), and the kernel releases it when
+/// the daemon dies, so a killed daemon leaves no stale lock.
+fn lock_store(store_dir: &Path) -> Result<File, String> {
+    let path = store_dir.join("lock");
+    let mut file = File::options()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)
+        .map_err(|e| format!("open {}: {e}", path.display()))?;
+    match file.try_lock() {
+        Ok(()) => {}
+        Err(TryLockError::WouldBlock) => {
+            let mut owner = String::new();
+            let _ = file.read_to_string(&mut owner);
+            return Err(format!(
+                "store {} is in use by another daemon (pid {})",
+                store_dir.display(),
+                owner.trim()
+            ));
+        }
+        Err(TryLockError::Error(e)) => return Err(format!("lock {}: {e}", path.display())),
+    }
+    file.set_len(0)
+        .and_then(|()| write!(file, "{}", std::process::id()))
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(file)
+}
+
+/// Runs the daemon until a `shutdown` request: locks and resumes the
+/// store, binds the listener, and serves the protocol.
 ///
 /// # Errors
 ///
-/// Startup failures only (bad address, unusable store); once serving,
-/// per-connection and per-campaign failures are reported to the peer
-/// or stderr instead of stopping the daemon.
+/// Startup failures only (bad address, unusable store, a store another
+/// daemon holds); once serving, per-connection and per-campaign failures
+/// are reported to the peer or stderr instead of stopping the daemon.
 pub fn run_daemon(config: DaemonConfig) -> Result<(), String> {
     let store = Store::open(&config.store_dir)?;
+    let _lock = lock_store(&config.store_dir)?;
     let ctx = Arc::new(Ctx {
         shared: Shared {
             inner: Mutex::new(Inner {

@@ -3,6 +3,8 @@
 //! The model checker itself stores no states; these observers plug into
 //! `chess_core::Explorer::run_observed` and record the distinct abstract
 //! states visited, reproducing the measurement methodology of Table 2.
+//! Both are resumable: a set does not change when a state is seen again,
+//! so the search may skip the prefixes it resumes from snapshots.
 
 use std::collections::HashSet;
 
@@ -33,7 +35,9 @@ impl CoverageTracker {
         self.visited.len()
     }
 
-    /// Total state occurrences observed (with repetition).
+    /// State occurrences shown to this tracker (with repetition). With
+    /// prefix snapshots on, the search skips resumed prefixes, so this
+    /// counts the executed states, not every state of every execution.
     pub fn occurrences(&self) -> u64 {
         self.occurrences
     }
@@ -46,13 +50,6 @@ impl CoverageTracker {
     /// Iterates over the visited signatures.
     pub fn iter(&self) -> impl Iterator<Item = &Vec<u8>> {
         self.visited.iter()
-    }
-
-    /// Records a state signature directly (used by the stateful reference
-    /// search when cross-checking coverage).
-    pub fn insert(&mut self, state: Vec<u8>) -> bool {
-        self.occurrences += 1;
-        self.visited.insert(state)
     }
 
     /// Records a borrowed state signature, cloning it only if unseen.
@@ -76,6 +73,10 @@ impl CoverageTracker {
 }
 
 impl<P: TransitionSystem + ?Sized> Observer<P> for CoverageTracker {
+    fn resumable(&self) -> bool {
+        true
+    }
+
     fn on_state(&mut self, sys: &P, _depth: usize) {
         let mut scratch = std::mem::take(&mut self.scratch);
         sys.state_bytes_into(&mut scratch);
@@ -87,7 +88,7 @@ impl<P: TransitionSystem + ?Sized> Observer<P> for CoverageTracker {
 /// Memory-light coverage tracker keyed on 64-bit fingerprints. Suitable
 /// for very large state counts where a rare collision is an acceptable
 /// undercount (the paper's hash-table methodology).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FingerprintCoverage {
     visited: HashSet<u64>,
 }
@@ -105,6 +106,10 @@ impl FingerprintCoverage {
 }
 
 impl<P: TransitionSystem + ?Sized> Observer<P> for FingerprintCoverage {
+    fn resumable(&self) -> bool {
+        true
+    }
+
     fn on_state(&mut self, sys: &P, _depth: usize) {
         self.visited.insert(sys.fingerprint());
     }
@@ -117,9 +122,9 @@ mod tests {
     #[test]
     fn distinct_vs_occurrences() {
         let mut c = CoverageTracker::new();
-        assert!(c.insert(vec![1]));
-        assert!(!c.insert(vec![1]));
-        assert!(c.insert(vec![2]));
+        assert!(c.insert_ref(&[1]));
+        assert!(!c.insert_ref(&[1]));
+        assert!(c.insert_ref(&[2]));
         assert_eq!(c.distinct_states(), 2);
         assert_eq!(c.occurrences(), 3);
         assert!(c.contains(&[1]));
@@ -131,7 +136,7 @@ mod tests {
         let c = CoverageTracker::new();
         assert_eq!(c.percent_of(0), 100.0);
         let mut c = CoverageTracker::new();
-        c.insert(vec![1]);
+        c.insert_ref(&[1]);
         assert_eq!(c.percent_of(4), 25.0);
     }
 }

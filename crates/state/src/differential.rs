@@ -20,18 +20,21 @@
 //! | `sleep-coverage` | Thm 5 | on violation-free systems the reduced search still covers every yield-free-reachable state |
 //! | `sleep-terminal-states` | — | on error-free systems both searches reach exactly the same terminal states |
 //! | `sleep-parallel-agreement` | — | 2-shard sleep-set DFS reproduces the sleep-set counting pass |
-//! | `snapshot-agreement` | — | DFS and sleep-set DFS report the same with prefix snapshots (pooling on) as replaying every execution (pooling off) |
+//! | `snapshot-agreement` | — | DFS and sleep-set DFS report, cover, terminate and unroll the same with prefix snapshots (pooling on) as replaying every execution (pooling off) |
 //!
 //! The `sleep-*` oracles run only when [`OracleLimits::reduce`] is set:
-//! they add a third counting pass with [`Dfs::with_sleep_sets`] and
-//! compare it against the unreduced pass A.
+//! they compare the sleep-set counting pass R ([`Dfs::with_sleep_sets`])
+//! against the unreduced pass A.
 //!
-//! The harness runs two stateless passes over the same program: pass A
+//! The harness runs these stateless passes over the same program: pass A
 //! counts every error without stopping (so the completeness oracles can
-//! compare totals), pass B stops at the first error (producing the
-//! counterexample that is verified, cross-checked against the graph,
-//! minimized, and ultimately persisted to the fuzzing corpus).
+//! compare totals), pass R does the same with sleep sets, and pass B
+//! stops at the first error (producing the counterexample that is
+//! verified, cross-checked against the graph, minimized, and ultimately
+//! persisted to the fuzzing corpus). Passes A and R resume from prefix
+//! snapshots; `snapshot-agreement` reruns both with pooling off.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -141,8 +144,17 @@ impl Verdict {
 }
 
 /// Coverage plus the Theorem 4 unrolling metric, observed in one pass.
+///
+/// Resumable: the current execution's fingerprints are a stack indexed
+/// by depth, and a state at depth `d` first rolls the stack back to `d`.
+/// So a fresh start (`d = 0`) and an execution resumed from a prefix
+/// snapshot both count exactly the states of their own execution.
+#[derive(Default)]
 struct DifferentialObserver {
     coverage: CoverageTracker,
+    /// Fingerprint of the current execution's state at each depth.
+    path: Vec<u64>,
+    /// How often each fingerprint occurs on `path`.
     in_execution: HashMap<u64, u32>,
     max_unrolling: u32,
     /// Distinct final states of executions that ran to clean termination,
@@ -150,31 +162,94 @@ struct DifferentialObserver {
     terminal_states: HashSet<Vec<u8>>,
 }
 
-impl DifferentialObserver {
-    fn new() -> Self {
-        DifferentialObserver {
-            coverage: CoverageTracker::new(),
-            in_execution: HashMap::new(),
-            max_unrolling: 0,
-            terminal_states: HashSet::new(),
-        }
-    }
-}
-
 impl<P: TransitionSystem + ?Sized> Observer<P> for DifferentialObserver {
-    fn on_state(&mut self, sys: &P, _depth: usize) {
-        self.coverage.insert(sys.state_bytes());
-        let n = self.in_execution.entry(sys.fingerprint()).or_insert(0);
+    fn resumable(&self) -> bool {
+        true
+    }
+
+    fn on_state(&mut self, sys: &P, depth: usize) {
+        self.coverage.on_state(sys, depth);
+        for fp in self.path.drain(depth..) {
+            if let Entry::Occupied(mut n) = self.in_execution.entry(fp) {
+                *n.get_mut() -= 1;
+                if *n.get() == 0 {
+                    n.remove();
+                }
+            }
+        }
+        let fp = sys.fingerprint();
+        self.path.push(fp);
+        let n = self.in_execution.entry(fp).or_insert(0);
         *n += 1;
         self.max_unrolling = self.max_unrolling.max(*n);
     }
 
     fn on_execution_end(&mut self, sys: &P, _depth: usize) {
-        self.in_execution.clear();
         if sys.status() == SystemStatus::Terminated {
             self.terminal_states.insert(sys.state_bytes());
         }
     }
+}
+
+/// One stateless DFS pass (sleep-set DFS with `reduce`) under a
+/// [`DifferentialObserver`].
+fn observed_pass<P, F>(
+    factory: F,
+    reduce: bool,
+    config: &Config,
+    progress: &Arc<Progress>,
+) -> (SearchReport, DifferentialObserver)
+where
+    P: TransitionSystem,
+    F: FnMut() -> P,
+{
+    let strategy = if reduce {
+        Dfs::with_sleep_sets()
+    } else {
+        Dfs::new()
+    };
+    let mut obs = DifferentialObserver::default();
+    let report = Explorer::new(factory, strategy, config.clone())
+        .with_progress(Arc::clone(progress))
+        .run_observed(&mut obs);
+    (report, obs)
+}
+
+fn zero_wall(r: &SearchReport) -> SearchReport {
+    let mut r = r.clone();
+    r.stats.wall = Duration::ZERO;
+    r
+}
+
+/// How a pass with prefix snapshots (pooling on) differs from the same
+/// pass replaying every execution (pooling off), wall clock aside: in
+/// its report, coverage set, terminal-state set or unrolling metric.
+fn snapshot_disagreement(
+    on: (&SearchReport, &DifferentialObserver),
+    off: (&SearchReport, &DifferentialObserver),
+) -> Option<String> {
+    let (covered, covered_off) = (&on.1.coverage, &off.1.coverage);
+    let same = zero_wall(on.0) == zero_wall(off.0)
+        && covered.distinct_states() == covered_off.distinct_states()
+        && covered.iter().all(|state| covered_off.contains(state))
+        && on.1.terminal_states == off.1.terminal_states
+        && on.1.max_unrolling == off.1.max_unrolling;
+    let describe = |(r, o): (&SearchReport, &DifferentialObserver)| {
+        format!(
+            "{:?}, {} states, {} terminal states, max unrolling {}",
+            zero_wall(r),
+            o.coverage.distinct_states(),
+            o.terminal_states.len(),
+            o.max_unrolling
+        )
+    };
+    (!same).then(|| {
+        format!(
+            "saw {} with snapshots, {} without",
+            describe(on),
+            describe(off)
+        )
+    })
 }
 
 /// How a 2-shard report differs from the sequential pass it splits,
@@ -186,11 +261,6 @@ fn shard_disagreement(sequential: &SearchReport, sharded: &SearchReport) -> Opti
     if matches!(sequential.outcome, SearchOutcome::BudgetExhausted(_)) {
         return None;
     }
-    let zero_wall = |r: &SearchReport| {
-        let mut r = r.clone();
-        r.stats.wall = Duration::ZERO;
-        r
-    };
     (zero_wall(sharded) != zero_wall(sequential)).then(|| {
         format!(
             "2-shard DFS reported {:?}, the sequential pass {:?}",
@@ -198,23 +268,6 @@ fn shard_disagreement(sequential: &SearchReport, sharded: &SearchReport) -> Opti
             zero_wall(sequential)
         )
     })
-}
-
-/// One counting pass of the `snapshot-agreement` oracle: plain or
-/// sleep-set DFS through [`Explorer::run`], wall clock zeroed.
-fn snapshot_pass<P, F>(factory: F, reduce: bool, config: Config) -> SearchReport
-where
-    P: TransitionSystem,
-    F: Fn() -> P,
-{
-    let strategy = if reduce {
-        Dfs::with_sleep_sets()
-    } else {
-        Dfs::new()
-    };
-    let mut report = Explorer::new(factory, strategy, config).run();
-    report.stats.wall = Duration::ZERO;
-    report
 }
 
 /// Runs the full differential check of one program.
@@ -287,10 +340,7 @@ where
         .with_stop_on_error(false)
         .with_max_executions(limits.max_executions)
         .with_depth_bound(limits.depth_bound);
-    let mut obs = DifferentialObserver::new();
-    let report_a = Explorer::new(&factory, Dfs::new(), config_a.clone())
-        .with_progress(Arc::clone(progress))
-        .run_observed(&mut obs);
+    let (report_a, obs) = observed_pass(&factory, false, &config_a, progress);
     verdict.covered_states = obs.coverage.distinct_states();
     verdict.max_unrolling = obs.max_unrolling;
     verdict.dfs_executions = report_a.stats.executions;
@@ -299,17 +349,18 @@ where
         return verdict;
     }
 
-    // Pass R (optional): sleep-set reduction soundness. The reduced
-    // search must classify the system identically — same existence of
-    // violations, deadlocks, and fair cycles — while exploring a subset
-    // of the executions, and on violation-free systems it must still
-    // cover every yield-free-reachable state (sleep sets prune redundant
+    // Pass R: the sleep-set counting pass. Passes A and R resume from
+    // prefix snapshots, so they are the snapshot side of the
+    // `snapshot-agreement` oracle below.
+    let (report_r, obs_r) = observed_pass(&factory, true, &config_a, progress);
+
+    // Sleep-set reduction soundness (optional). The reduced search must
+    // classify the system identically — same existence of violations,
+    // deadlocks, and fair cycles — while exploring a subset of the
+    // executions, and on violation-free systems it must still cover
+    // every yield-free-reachable state (sleep sets prune redundant
     // *transitions*; every state stays visited via the commuted path).
-    let report_r = if limits.reduce {
-        let mut obs_r = DifferentialObserver::new();
-        let report_r = Explorer::new(&factory, Dfs::with_sleep_sets(), config_a.clone())
-            .with_progress(Arc::clone(progress))
-            .run_observed(&mut obs_r);
+    if limits.reduce {
         verdict.sleep_executions = report_r.stats.executions;
         if matches!(report_r.outcome, SearchOutcome::BudgetExhausted(_)) {
             // Unreachable in practice: the reduced search explores a
@@ -397,10 +448,7 @@ where
                 );
             }
         }
-        Some(report_r)
-    } else {
-        None
-    };
+    }
 
     // Oracle: soundness of visits — the stateless engine may not invent
     // states the reference cannot reach.
@@ -519,20 +567,18 @@ where
         );
     }
 
-    // Oracle: prefix snapshots change nothing. The counting passes run
-    // through `run` with pooling on (executions resume from snapshots)
-    // and off (every execution replays from the initial state).
-    for reduce in [false, true] {
-        let on = snapshot_pass(&factory, reduce, config_a.clone());
-        let off = snapshot_pass(&factory, reduce, config_a.clone().with_pooling(false));
-        if on != off {
+    // Oracle: prefix snapshots change nothing. Passes A and R resumed
+    // from snapshots (pooling on); rerun them replaying every execution
+    // from the initial state (pooling off).
+    let config_off = config_a.clone().with_pooling(false);
+    for (reduce, on) in [(false, (&report_a, &obs)), (true, (&report_r, &obs_r))] {
+        let (off, off_obs) = observed_pass(&factory, reduce, &config_off, progress);
+        if let Some(detail) = snapshot_disagreement(on, (&off, &off_obs)) {
+            let what = if reduce { "sleep-set DFS" } else { "DFS" };
             disc(
                 &mut verdict,
                 "snapshot-agreement",
-                format!(
-                    "{} reported {on:?} with snapshots, {off:?} without",
-                    if reduce { "sleep-set DFS" } else { "DFS" }
-                ),
+                format!("{what} {detail}"),
             );
         }
     }
@@ -557,9 +603,9 @@ where
         if let Some(detail) = shard_disagreement(&report_b, &par) {
             disc(&mut verdict, "error-pass-disagrees", detail);
         }
-        if let Some(report_r) = &report_r {
+        if limits.reduce {
             let red = sharded(Reduction::SleepSets, &config_a);
-            if let Some(detail) = shard_disagreement(report_r, &red) {
+            if let Some(detail) = shard_disagreement(&report_r, &red) {
                 disc(&mut verdict, "sleep-parallel-agreement", detail);
             }
         }

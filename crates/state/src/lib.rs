@@ -10,7 +10,9 @@
 //!   (the paper cites Iosif's heap-symmetry reduction).
 //! * [`CoverageTracker`] / [`FingerprintCoverage`] — observers plugged
 //!   into `chess_core::Explorer::run_observed` that record distinct
-//!   visited states (Table 2's "states visited" columns).
+//!   visited states (Table 2's "states visited" columns). They are
+//!   resumable, so observed `dfs` and `cb` searches resume from prefix
+//!   snapshots like unobserved ones.
 //! * [`StateGraph`] — full stateful BFS producing the explicit state
 //!   graph: the "Total States" reference, deadlock/violation inventory,
 //!   and a strong-fairness (Streett) cycle detector

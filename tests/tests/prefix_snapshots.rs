@@ -1,14 +1,16 @@
 //! Prefix snapshots never change a search. With `Config::pooling` on,
-//! `Explorer::run` resumes each `dfs` or `cb` execution from a snapshot
-//! inside the prefix it shares with the previous execution; with pooling
-//! off, every execution replays from the initial state. For every kernel
-//! workload (the litmus tests under every memory model), under dfs, cb:1
-//! and cb:2, plain and with sleep sets, stopping at the first error and
+//! `Explorer::run` (and `run_observed` with a resumable observer)
+//! resumes each `dfs` or `cb` execution from a snapshot inside the
+//! prefix it shares with the previous execution; with pooling off, every
+//! execution replays from the initial state. For every kernel workload
+//! (the litmus tests under every memory model), under dfs, cb:1 and
+//! cb:2, plain and with sleep sets, stopping at the first error and
 //! running on, the two reports must be equal, wall clock aside. Searches
 //! too large to exhaust are capped at a fixed execution budget, which
 //! both sides spend identically.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -16,13 +18,14 @@ use std::time::Duration;
 
 use chess_core::strategy::{ContextBounded, Dfs, RandomWalk, Strategy};
 use chess_core::{
-    Config, Explorer, Progress, Reduction, Search, SearchCheckpoint, SearchOutcome, SearchReport,
-    ShardRunner, SystemStatus, TransitionSystem,
+    Config, CountingObserver, Explorer, NullObserver, Observer, Progress, Reduction, Search,
+    SearchCheckpoint, SearchOutcome, SearchReport, ShardRunner, SystemStatus, TransitionSystem,
 };
 use chess_kernel::{
     Effects, Footprint, GuestThread, Kernel, MemoryModel, OpDesc, OpResult, StateWriter, StepKind,
     ThreadId, TidSet,
 };
+use chess_state::{CoverageTracker, FingerprintCoverage};
 use chess_workloads::boundedbuffer::{bounded_buffer, BufferBug, BufferConfig};
 use chess_workloads::bsp::{bsp, BspConfig};
 use chess_workloads::channels::{fifo_pipeline, ChannelBug, FifoConfig};
@@ -64,10 +67,25 @@ where
     P: TransitionSystem,
     F: FnMut() -> P,
 {
+    run_observed(factory, search, config, &mut NullObserver)
+}
+
+/// Runs one search under `obs` and returns its report and progress
+/// counters.
+fn run_observed<P, F>(
+    factory: F,
+    search: Search,
+    config: &Config,
+    obs: &mut dyn Observer<P>,
+) -> (SearchReport, Arc<Progress>)
+where
+    P: TransitionSystem,
+    F: FnMut() -> P,
+{
     let progress = Arc::new(Progress::default());
     let report = Explorer::new(factory, strategy(search), config.clone())
         .with_progress(Arc::clone(&progress))
-        .run();
+        .run_observed(obs);
     (report, progress)
 }
 
@@ -721,4 +739,116 @@ fn systematic_search_through_the_wrapper_snapshots() {
     let config = Config::fair().with_max_executions(200);
     let (_, progress, _) = probe(factory, Search::Cb(2, Reduction::None), &config);
     assert!(snapshots(&progress) > 0);
+}
+
+/// What the resumable observers record: exact and fingerprint coverage
+/// and the terminal states. Resumable only if both trackers are.
+#[derive(Default)]
+struct Recorded {
+    exact: CoverageTracker,
+    fingerprints: FingerprintCoverage,
+    terminals: BTreeSet<Vec<u8>>,
+}
+
+impl<P: TransitionSystem + ?Sized> Observer<P> for Recorded {
+    fn resumable(&self) -> bool {
+        Observer::<P>::resumable(&self.exact) && Observer::<P>::resumable(&self.fingerprints)
+    }
+
+    fn on_state(&mut self, sys: &P, depth: usize) {
+        self.exact.on_state(sys, depth);
+        self.fingerprints.on_state(sys, depth);
+    }
+
+    fn on_execution_end(&mut self, sys: &P, _depth: usize) {
+        if sys.status() == SystemStatus::Terminated {
+            self.terminals.insert(sys.state_bytes());
+        }
+    }
+}
+
+/// Observed dfs and cb:2 searches, plain and with sleep sets, resume
+/// from snapshots and still record what full replay records: the same
+/// report, the same distinct states (exact and by fingerprint) and the
+/// same terminal states with pooling on and off. A refusing observer
+/// keeps full replay and sees every state occurrence. Returns the steps
+/// the resumable searches skipped.
+fn observers_agree<P, F>(name: &str, factory: F) -> u64
+where
+    P: TransitionSystem,
+    F: Fn() -> P,
+{
+    let config = Config::fair()
+        .with_stop_on_error(false)
+        .with_max_executions(BUDGET);
+    let mut skips = 0;
+    for reduction in [Reduction::None, Reduction::SleepSets] {
+        for search in [Search::Dfs(reduction), Search::Cb(2, reduction)] {
+            let what = format!("{name} {search:?}");
+            let mut off = Recorded::default();
+            let (off_report, off_progress) = run_observed(
+                &factory,
+                search,
+                &config.clone().with_pooling(false),
+                &mut off,
+            );
+            let mut on = Recorded::default();
+            let (on_report, progress) = run_observed(&factory, search, &config, &mut on);
+            assert_eq!(
+                zero_wall(on_report),
+                zero_wall(off_report.clone()),
+                "{what}"
+            );
+            assert_eq!(skipped(&off_progress), 0, "{what}: pooling off resumed");
+            let states = |c: &CoverageTracker| c.iter().cloned().collect::<BTreeSet<_>>();
+            assert_eq!(states(&on.exact), states(&off.exact), "{what}");
+            assert_eq!(on.fingerprints, off.fingerprints, "{what}");
+            assert_eq!(on.terminals, off.terminals, "{what}");
+            skips += skipped(&progress);
+
+            let mut counting = CountingObserver::default();
+            let (report, progress) = run_observed(&factory, search, &config, &mut counting);
+            assert_eq!(skipped(&progress), 0, "{what}: a refusing observer resumed");
+            assert_eq!(
+                counting.states_seen,
+                report.stats.transitions + report.stats.executions,
+                "{what}"
+            );
+            assert_eq!(zero_wall(report), zero_wall(off_report), "{what}");
+        }
+    }
+    skips
+}
+
+#[test]
+fn observers_agree_with_pooling_on_and_off() {
+    let skips = [
+        observers_agree("counter", || locked_counter(2)),
+        observers_agree("counter/racy", || racy_counter(2)),
+        observers_agree("counter/deadlock", deadlock_pair),
+        observers_agree("spinloop", figure3),
+        observers_agree("philosophers", || {
+            philosophers(PhilosophersConfig::table2(3))
+        }),
+        observers_agree("philosophers/figure1", figure1),
+        observers_agree("wsq", || wsq(WsqConfig::table2(2))),
+        observers_agree("wsq/unsync-steal", || {
+            wsq(WsqConfig::with_bug(WsqBug::UnsynchronizedSteal))
+        }),
+        observers_agree("promise", || promises(PromiseConfig::correct())),
+        observers_agree("promise/stale-spin", figure8),
+        observers_agree("workerpool", || worker_pool(PoolConfig::correct())),
+        observers_agree("channels", || fifo_pipeline(FifoConfig::correct())),
+        observers_agree("boundedbuffer", || bounded_buffer(BufferConfig::correct())),
+        observers_agree("treiber/aba", || treiber_stack(TreiberConfig::aba())),
+        observers_agree("rwcache", || rw_cache(RwCacheConfig::correct())),
+        observers_agree("bsp", || bsp(BspConfig::correct())),
+        observers_agree("miniboot", || miniboot(BootConfig::small())),
+    ];
+    assert!(skips.iter().all(|&s| s > 0), "{skips:?}");
+    for memory in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+        observers_agree("sb", || store_buffering(memory));
+        observers_agree("dekker", || dekker(memory));
+        observers_agree("iriw", || iriw(memory));
+    }
 }
