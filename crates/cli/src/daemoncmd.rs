@@ -3,9 +3,11 @@
 //! `fair-chess daemon --listen <addr> --store <dir>` runs the
 //! long-running campaign daemon from [`chess_server`]: it accepts
 //! line-delimited JSON requests over a unix or TCP socket, drives each
-//! submitted manifest through the same worker pool as `serve`, and
-//! journals every verdict into a content-addressed store so a killed
-//! daemon resumes its in-flight campaigns on restart.
+//! submitted manifest through the same campaign driver as `serve`
+//! ([`chess_server::run_jobs`], on the pool [`workercmd::worker_pool`]
+//! builds for both), and journals every verdict into a
+//! content-addressed store so a killed daemon resumes its in-flight
+//! campaigns on restart.
 //!
 //! The client verbs — `submit`, `status`, `watch`, `cancel`,
 //! `results`, `shutdown` — speak that protocol so campaigns can be
@@ -16,11 +18,8 @@
 //! of the same manifest would have printed and returned.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use chess_bench::Json;
-use chess_core::procpool::PoolConfig;
-use chess_core::Progress;
 use chess_server::{expect_ok, parse_digest, run_daemon, Client, DaemonConfig, Listen, Request};
 
 use crate::opts::{ClientOp, ClientOpts, DaemonOpts};
@@ -38,37 +37,12 @@ pub fn do_daemon(o: &DaemonOpts) -> ExitCode {
 }
 
 fn daemon(o: &DaemonOpts) -> Result<(), String> {
-    let listen = Listen::parse(&o.listen)?;
-    let worker_program = crate::servecmd::worker_binary()?;
-    // Same heartbeat contract as `serve`: workers beat at a fraction
-    // of the watchdog deadline so a live job always wins.
-    let hb_ms = (o.heartbeat_timeout.as_millis() as u64 / 5).clamp(10, 500);
     run_daemon(DaemonConfig {
-        listen,
+        listen: Listen::parse(&o.listen)?,
         store_dir: std::path::PathBuf::from(&o.store),
-        pool: PoolConfig {
-            workers: o.workers,
-            heartbeat_timeout: o.heartbeat_timeout,
-            max_attempts: o.max_attempts,
-            jitter_seed: o.jitter_seed,
-            ..PoolConfig::default()
-        },
-        worker_program,
-        worker_args: vec![
-            "worker".to_string(),
-            "--heartbeat-millis".to_string(),
-            hb_ms.to_string(),
-        ],
+        pool: workercmd::worker_pool(&o.pool)?,
         validator: workercmd::validate_job,
-        fallback: Some(fallback_run),
     })
-}
-
-/// Degraded in-process runner for when no worker can be spawned —
-/// the daemon's analogue of `serve`'s leftover loop.
-fn fallback_run(payload: &str) -> Result<String, String> {
-    let progress = Arc::new(Progress::default());
-    workercmd::run_job(payload, &progress).map(|r| r.to_payload())
 }
 
 /// Entry point for the client verbs (`submit`, `status`, ...).

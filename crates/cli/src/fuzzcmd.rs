@@ -180,8 +180,9 @@ pub fn do_fuzz(o: &FuzzOpts) -> ExitCode {
     report_fuzz_run(o, &results)
 }
 
-/// Builds the generator configuration for one system.
-fn fuzz_config(o: &FuzzOpts, seed: u64) -> FuzzConfig {
+/// Builds the generator configuration for one system (of a `fuzz` run
+/// or a campaign fuzz job).
+pub(crate) fn fuzz_config(o: &FuzzOpts, seed: u64) -> FuzzConfig {
     FuzzConfig {
         max_threads: o.max_threads,
         max_ops: o.max_ops,

@@ -347,56 +347,42 @@ pub struct ReplayOpts {
     pub file: String,
 }
 
-/// Options for `serve` (the process-pool campaign supervisor).
+/// The worker-pool flags `serve` and `daemon` share.
 #[derive(Debug, Clone)]
+pub struct PoolOpts {
+    pub workers: usize,
+    pub heartbeat_timeout: Duration,
+    pub max_attempts: u32,
+    pub jitter_seed: u64,
+}
+
+impl Default for PoolOpts {
+    fn default() -> Self {
+        PoolOpts {
+            workers: 2,
+            heartbeat_timeout: Duration::from_secs(10),
+            max_attempts: 3,
+            jitter_seed: 0,
+        }
+    }
+}
+
+/// Options for `serve` (the process-pool campaign supervisor).
+#[derive(Debug, Clone, Default)]
 pub struct ServeOpts {
     pub manifest: String,
-    pub workers: usize,
     pub checkpoint: Option<String>,
     pub resume: Option<String>,
     pub status_file: Option<String>,
-    pub heartbeat_timeout: Duration,
-    pub max_attempts: u32,
-    pub jitter_seed: u64,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        ServeOpts {
-            manifest: String::new(),
-            workers: 2,
-            checkpoint: None,
-            resume: None,
-            status_file: None,
-            heartbeat_timeout: Duration::from_secs(10),
-            max_attempts: 3,
-            jitter_seed: 0,
-        }
-    }
+    pub pool: PoolOpts,
 }
 
 /// Options for `daemon` (the long-running campaign daemon).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DaemonOpts {
     pub listen: String,
     pub store: String,
-    pub workers: usize,
-    pub heartbeat_timeout: Duration,
-    pub max_attempts: u32,
-    pub jitter_seed: u64,
-}
-
-impl Default for DaemonOpts {
-    fn default() -> Self {
-        DaemonOpts {
-            listen: String::new(),
-            store: String::new(),
-            workers: 2,
-            heartbeat_timeout: Duration::from_secs(10),
-            max_attempts: 3,
-            jitter_seed: 0,
-        }
-    }
+    pub pool: PoolOpts,
 }
 
 /// One daemon-client operation (the campaign id stays a string here;
@@ -645,6 +631,38 @@ fn parse_num(flag: &str, s: &str) -> Result<usize, ParseError> {
         .map_err(|_| ParseError(format!("{flag} needs a number, got '{s}'")))
 }
 
+impl FuzzOpts {
+    /// Turns on the injected bug `kind`; shared by `--inject` and
+    /// campaign fuzz jobs.
+    pub fn inject(&mut self, kind: &str) -> Result<(), String> {
+        match kind {
+            "safety" => self.inject_safety = true,
+            "deadlock" => self.inject_deadlock = true,
+            "livelock" => self.inject_livelock = true,
+            "panic" => self.inject_panic = true,
+            other => {
+                return Err(format!(
+                    "unknown injection '{other}' (expected safety, deadlock, livelock, or panic)"
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks a fuzz generator knob (`max_threads`, `max_ops`,
+/// `yield_percent`) against the range the `fuzz` flags enforce; campaign
+/// fuzz jobs are held to the same ranges. `Err` says what the value
+/// must be, for the caller to prefix with its spelling of the knob.
+pub fn fuzz_knob(knob: &str, value: u64) -> Result<u64, &'static str> {
+    match knob {
+        "max_threads" if value < 2 => Err("needs at least 2"),
+        "max_ops" if value == 0 => Err("needs at least 1"),
+        "yield_percent" if value > 100 => Err("must be 0..=100"),
+        _ => Ok(value),
+    }
+}
+
 fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, ParseError> {
     let mut opts = FuzzOpts::default();
     let mut it = args.iter();
@@ -652,6 +670,11 @@ fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, ParseError> {
         it.next()
             .cloned()
             .ok_or_else(|| ParseError(format!("{flag} needs a value")))
+    };
+    let knob = |flag: &str, it: &mut std::slice::Iter<'_, String>| {
+        let value = parse_num(flag, &next_value(flag, it)?)? as u64;
+        fuzz_knob(&flag[2..].replace('-', "_"), value)
+            .map_err(|why| ParseError(format!("{flag} {why}")))
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -670,40 +693,12 @@ fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, ParseError> {
                     return err("--jobs needs at least 1 worker");
                 }
             }
-            "--max-threads" => {
-                opts.max_threads =
-                    parse_num("--max-threads", &next_value("--max-threads", &mut it)?)?;
-                if opts.max_threads < 2 {
-                    return err("--max-threads needs at least 2");
-                }
-            }
-            "--max-ops" => {
-                opts.max_ops = parse_num("--max-ops", &next_value("--max-ops", &mut it)?)?;
-                if opts.max_ops == 0 {
-                    return err("--max-ops needs at least 1");
-                }
-            }
-            "--yield-percent" => {
-                let p = parse_num("--yield-percent", &next_value("--yield-percent", &mut it)?)?;
-                if p > 100 {
-                    return err("--yield-percent must be 0..=100");
-                }
-                opts.yield_percent = p as u32;
-            }
+            "--max-threads" => opts.max_threads = knob(arg, &mut it)? as usize,
+            "--max-ops" => opts.max_ops = knob(arg, &mut it)? as usize,
+            "--yield-percent" => opts.yield_percent = knob(arg, &mut it)? as u32,
             "--inject" => {
                 for kind in next_value("--inject", &mut it)?.split(',') {
-                    match kind.trim() {
-                        "safety" => opts.inject_safety = true,
-                        "deadlock" => opts.inject_deadlock = true,
-                        "livelock" => opts.inject_livelock = true,
-                        "panic" => opts.inject_panic = true,
-                        other => {
-                            return err(format!(
-                                "unknown injection '{other}' (expected safety, deadlock, \
-                                 livelock, or panic)"
-                            ))
-                        }
-                    }
+                    opts.inject(kind.trim()).map_err(ParseError)?;
                 }
             }
             "--memory" => {
@@ -741,41 +736,60 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, ParseError> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workers" => {
-                opts.workers = parse_num("--workers", &next_value("--workers", &mut it)?)?;
-                if opts.workers == 0 {
-                    return err("--workers needs at least 1 worker");
-                }
-            }
             "--checkpoint" => opts.checkpoint = Some(next_value("--checkpoint", &mut it)?),
             "--resume" => opts.resume = Some(next_value("--resume", &mut it)?),
             "--status-file" => opts.status_file = Some(next_value("--status-file", &mut it)?),
+            other => opts.pool.parse_flag(other, &mut it)?,
+        }
+    }
+    Ok(opts)
+}
+
+impl PoolOpts {
+    /// Parses one of the four pool flags, taking its value from `it`;
+    /// any other flag is an unknown option.
+    fn parse_flag(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<(), ParseError> {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| ParseError(format!("{flag} needs a value")))
+        };
+        match flag {
+            "--workers" => {
+                self.workers = parse_num(flag, &value()?)?;
+                if self.workers == 0 {
+                    return err("--workers needs at least 1 worker");
+                }
+            }
             "--heartbeat-timeout" => {
-                let secs: f64 = next_value("--heartbeat-timeout", &mut it)?
+                let secs: f64 = value()?
                     .parse()
                     .map_err(|_| ParseError("--heartbeat-timeout needs seconds".into()))?;
                 if secs.is_nan() || secs <= 0.0 {
                     return err("--heartbeat-timeout must be positive");
                 }
-                opts.heartbeat_timeout = Duration::from_secs_f64(secs);
+                self.heartbeat_timeout = Duration::from_secs_f64(secs);
             }
             "--max-attempts" => {
-                opts.max_attempts =
-                    parse_num("--max-attempts", &next_value("--max-attempts", &mut it)?)? as u32;
-                if opts.max_attempts == 0 {
+                self.max_attempts = parse_num(flag, &value()?)? as u32;
+                if self.max_attempts == 0 {
                     return err("--max-attempts needs at least 1");
                 }
             }
             "--jitter-seed" => {
-                let v = next_value("--jitter-seed", &mut it)?;
-                opts.jitter_seed = v
+                let v = value()?;
+                self.jitter_seed = v
                     .parse()
                     .map_err(|_| ParseError(format!("--jitter-seed needs a number, got '{v}'")))?;
             }
             other => return err(format!("unknown option '{other}'")),
         }
+        Ok(())
     }
-    Ok(opts)
 }
 
 fn parse_daemon_opts(args: &[String]) -> Result<DaemonOpts, ParseError> {
@@ -790,35 +804,7 @@ fn parse_daemon_opts(args: &[String]) -> Result<DaemonOpts, ParseError> {
         match arg.as_str() {
             "--listen" => opts.listen = next_value("--listen", &mut it)?,
             "--store" => opts.store = next_value("--store", &mut it)?,
-            "--workers" => {
-                opts.workers = parse_num("--workers", &next_value("--workers", &mut it)?)?;
-                if opts.workers == 0 {
-                    return err("--workers needs at least 1 worker");
-                }
-            }
-            "--heartbeat-timeout" => {
-                let secs: f64 = next_value("--heartbeat-timeout", &mut it)?
-                    .parse()
-                    .map_err(|_| ParseError("--heartbeat-timeout needs seconds".into()))?;
-                if secs.is_nan() || secs <= 0.0 {
-                    return err("--heartbeat-timeout must be positive");
-                }
-                opts.heartbeat_timeout = Duration::from_secs_f64(secs);
-            }
-            "--max-attempts" => {
-                opts.max_attempts =
-                    parse_num("--max-attempts", &next_value("--max-attempts", &mut it)?)? as u32;
-                if opts.max_attempts == 0 {
-                    return err("--max-attempts needs at least 1");
-                }
-            }
-            "--jitter-seed" => {
-                let v = next_value("--jitter-seed", &mut it)?;
-                opts.jitter_seed = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("--jitter-seed needs a number, got '{v}'")))?;
-            }
-            other => return err(format!("unknown option '{other}'")),
+            other => opts.pool.parse_flag(other, &mut it)?,
         }
     }
     if opts.listen.is_empty() {
@@ -1208,17 +1194,17 @@ mod tests {
             panic!("expected serve")
         };
         assert_eq!(o.manifest, "campaign.json");
-        assert_eq!(o.workers, 4);
+        assert_eq!(o.pool.workers, 4);
         assert_eq!(o.checkpoint.as_deref(), Some("verdicts.json"));
         assert_eq!(o.status_file.as_deref(), Some("status.json"));
-        assert_eq!(o.heartbeat_timeout, Duration::from_secs_f64(2.5));
-        assert_eq!(o.max_attempts, 5);
-        assert_eq!(o.jitter_seed, 9);
+        assert_eq!(o.pool.heartbeat_timeout, Duration::from_secs_f64(2.5));
+        assert_eq!(o.pool.max_attempts, 5);
+        assert_eq!(o.pool.jitter_seed, 9);
 
         let cmd = parse(&s(&["serve", "c.json", "--resume", "verdicts.json"])).unwrap();
         let Command::Serve(o) = cmd else { panic!() };
         assert_eq!(o.resume.as_deref(), Some("verdicts.json"));
-        assert_eq!(o.workers, 2, "default worker count");
+        assert_eq!(o.pool.workers, 2, "default worker count");
 
         assert!(parse(&s(&["serve"])).is_err(), "manifest is required");
         assert!(parse(&s(&["serve", "--workers", "2"])).is_err());
@@ -1361,10 +1347,10 @@ mod tests {
         };
         assert_eq!(o.listen, "unix:/tmp/d.sock");
         assert_eq!(o.store, "store-dir");
-        assert_eq!(o.workers, 4);
-        assert_eq!(o.heartbeat_timeout, Duration::from_secs_f64(2.5));
-        assert_eq!(o.max_attempts, 5);
-        assert_eq!(o.jitter_seed, 9);
+        assert_eq!(o.pool.workers, 4);
+        assert_eq!(o.pool.heartbeat_timeout, Duration::from_secs_f64(2.5));
+        assert_eq!(o.pool.max_attempts, 5);
+        assert_eq!(o.pool.jitter_seed, 9);
         // Both endpoints are required.
         assert!(parse(&s(&["daemon", "--store", "x"])).is_err());
         assert!(parse(&s(&["daemon", "--listen", "tcp:127.0.0.1:1"])).is_err());

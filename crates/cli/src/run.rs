@@ -14,6 +14,7 @@ use chess_core::{
     SearchStats, ShardRunner, ShardSpec,
 };
 use chess_kernel::{Capture, Kernel};
+use chess_server::JobResult;
 use chess_state::{CoverageTracker, StateGraph, StatefulError, StatefulLimits};
 use chess_workloads::boundedbuffer::{bounded_buffer, BufferBug, BufferConfig};
 use chess_workloads::bsp::{bsp, BspConfig};
@@ -215,26 +216,6 @@ fn dispatch(o: &RunOpts, mode: Mode) -> ExitCode {
 // The campaign job runner
 // ---------------------------------------------------------------------
 
-/// What a campaign check job produces: the exit code the outcome maps
-/// to under the documented 0–7 contract, a summary line with no
-/// wall-clock field — two runs of the same job print identical lines,
-/// which is what lets a resumed campaign reprint its report
-/// byte-for-byte — and the full report, which is how shard jobs ship
-/// mergeable results back to the campaign layer. The type lives in
-/// `chess-server` so the daemon's merge machinery shares the codec.
-pub use chess_server::JobResult as JobRunResult;
-
-/// Maps a search outcome to the CLI's documented exit code.
-pub fn outcome_code(outcome: &SearchOutcome) -> u8 {
-    outcome.exit_code()
-}
-
-/// The report's display line minus the trailing wall-clock field (the
-/// one part that differs between two runs of the same search).
-fn deterministic_report_line(report: &SearchReport) -> String {
-    report.deterministic_line()
-}
-
 /// The visitor behind [`run_check_job`]: one shard (the whole search
 /// unless the job names a slice) with live progress publication and a
 /// structured result.
@@ -244,7 +225,7 @@ struct JobVisitor<'a> {
 }
 
 impl WorkloadVisitor for JobVisitor<'_> {
-    type Out = Result<JobRunResult, String>;
+    type Out = Result<JobResult, String>;
 
     fn visit<S, F>(self, factory: F) -> Self::Out
     where
@@ -261,9 +242,9 @@ impl WorkloadVisitor for JobVisitor<'_> {
         // Result payloads are journaled and compared byte-for-byte
         // across runs; the wall clock is the one nondeterministic stat.
         report.stats.wall = std::time::Duration::default();
-        Ok(JobRunResult {
-            code: outcome_code(&report.outcome),
-            line: deterministic_report_line(&report),
+        Ok(JobResult {
+            code: report.outcome.exit_code(),
+            line: report.deterministic_line(),
             report: Some(report),
         })
     }
@@ -278,7 +259,7 @@ impl WorkloadVisitor for JobVisitor<'_> {
 /// search advances. Errors are option-level (unknown workload, bad
 /// combination) — a found bug is a *successful* job whose result line
 /// and code say so.
-pub fn run_check_job(o: &RunOpts, progress: &Arc<Progress>) -> Result<JobRunResult, String> {
+pub fn run_check_job(o: &RunOpts, progress: &Arc<Progress>) -> Result<JobResult, String> {
     with_workload(o, JobVisitor { o, progress })
 }
 

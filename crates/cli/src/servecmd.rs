@@ -1,57 +1,37 @@
-//! The `serve` subcommand: a process-isolated campaign runner.
+//! The `serve` subcommand: a one-shot, process-isolated campaign run.
 //!
 //! `serve` reads a campaign manifest (a JSON document with a `jobs`
 //! array, each job a `check` or `fuzz` description — see
-//! [`crate::workercmd`] for the payload schema), re-execs this binary
-//! as a pool of `worker` processes, and drives the campaign through
-//! [`chess_core::procpool::Supervisor`]: idle workers steal the next
-//! queued job, a watchdog kills workers whose jobs stop making
-//! progress, failed attempts retry with deterministic exponential
-//! backoff, and jobs that keep killing workers are quarantined after
-//! `--max-attempts` with the failure evidence attached.
+//! [`crate::workercmd`] for the payload schema), expands `"shards": K`
+//! check jobs into per-shard jobs, and runs them through
+//! [`chess_server::run_jobs`], the campaign driver the daemon runs too:
+//! a pool of re-exec'd `worker` processes under
+//! [`chess_core::procpool::Supervisor`] (work stealing, a
+//! progress-gated watchdog, deterministic retry backoff, quarantine
+//! after `--max-attempts`), or this process, behind a loud warning,
+//! when no worker can be spawned at all. The shard reports are merged
+//! back and the report is printed in manifest order, so a sharded
+//! campaign prints the unsharded one's report.
 //!
-//! The manifest/journal/report machinery is shared with the
-//! long-running daemon and lives in [`chess_server::campaign`]; `serve`
-//! is the one-shot front end over it. Like the daemon, `serve` expands
-//! `"shards": K` check jobs into per-shard jobs and merges the shard
-//! reports back before printing, so a sharded campaign's report equals
-//! the unsharded one.
+//! What `serve` adds around the driver:
 //!
-//! # Persistence and resume
-//!
-//! With `--checkpoint <file>` every verdict atomically rewrites a
-//! journal document (the same temp-file + rename machinery as `check`
-//! and `fuzz`), tagged with an FNV-1a digest of the canonicalized
-//! manifest. `--resume <file>` loads those verdicts, skips the decided
-//! jobs, and — because job result lines carry no wall-clock field and
-//! the final report is printed in manifest order — a campaign whose
-//! supervisor was `kill -9`ed mid-run reprints the byte-identical
-//! report the uninterrupted run would have produced. `--status-file`
-//! additionally maintains an at-a-glance progress JSON, atomically
-//! rewritten after every verdict.
-//!
-//! # Degradation ladder
-//!
-//! Mirroring the journal writer's degrade-to-memory policy, a pool
-//! that cannot keep any worker alive (spawn failures, e.g. the binary
-//! vanished) does not fail the campaign: leftover jobs run in-process
-//! in the supervisor, each behind a loud warning. SIGINT checkpoints
-//! what finished and exits 6 with a resume hint.
+//! - `--checkpoint <file>`: the journal the driver atomically rewrites
+//!   after every verdict, tagged with an FNV-1a digest of the
+//!   canonicalized manifest. `--resume <file>` loads it and skips the
+//!   decided jobs; because job lines carry no wall-clock field, a
+//!   campaign whose supervisor was `kill -9`ed mid-run reprints the
+//!   byte-identical report.
+//! - `--status-file`: an at-a-glance progress JSON, atomically
+//!   rewritten after every verdict.
+//! - SIGINT: what finished stays journaled, and `serve` exits 6 with a
+//!   resume hint.
+//! - The pool's stats line on stderr.
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use chess_bench::JournalWriter;
-use chess_core::procpool::{
-    JobOutcome, JobSpec, JobVerdict, PoolConfig, ProcessWorkerFactory, Supervisor,
-};
-use chess_core::Progress;
-use chess_server::campaign::{journal_doc, load_campaign_journal, write_status};
-use chess_server::{expand_jobs, load_manifest, merge_verdicts, render_report, Verdict};
+use chess_server::campaign::{load_campaign_journal, write_status};
+use chess_server::{expand_jobs, load_manifest, merge_verdicts, render_report, run_jobs};
 
 use crate::opts::ServeOpts;
 use crate::{exitcode, signal, workercmd};
@@ -72,108 +52,44 @@ fn serve(o: &ServeOpts) -> Result<u8, String> {
     let expanded = expand_jobs(&manifest.jobs)?;
     let total = expanded.len();
 
-    let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut resumed = Vec::new();
     if let Some(path) = &o.resume {
-        verdicts = load_campaign_journal(Path::new(path), manifest.digest)?;
+        resumed = load_campaign_journal(Path::new(path), manifest.digest, &expanded)?;
         eprintln!(
             "resuming from {path}: {} of {total} jobs already decided",
-            verdicts.len()
+            resumed.len()
         );
         if o.checkpoint.is_none() {
             eprintln!("note: --resume without --checkpoint; this run will not journal");
         }
     }
-    let decided: HashSet<String> = verdicts.iter().map(|v| v.id.clone()).collect();
-    let todo: Vec<JobSpec> = expanded
-        .iter()
-        .filter(|j| !decided.contains(&j.id))
-        .cloned()
-        .collect();
-
-    let writer = o
-        .checkpoint
-        .as_ref()
-        .map(|path| RefCell::new(JournalWriter::new(path)));
-    let verdicts = RefCell::new(verdicts);
-    let persist = |pool_verdict: &JobVerdict| {
-        let mut verdicts = verdicts.borrow_mut();
-        verdicts.push(Verdict::from_pool(pool_verdict));
-        if let Some(w) = &writer {
-            w.borrow_mut()
-                .write(&journal_doc(manifest.digest, &verdicts));
-        }
-        write_status(o.status_file.as_deref(), &verdicts, total);
-    };
 
     let stop = signal::install();
-    let program = worker_binary()?;
-    // Workers heartbeat at a fraction of the watchdog deadline so a
-    // live job always beats it.
-    let hb_ms = (o.heartbeat_timeout.as_millis() as u64 / 5).clamp(10, 500);
-    let factory = ProcessWorkerFactory::new(
-        program,
-        vec![
-            "worker".to_string(),
-            "--heartbeat-millis".to_string(),
-            hb_ms.to_string(),
-        ],
-    );
-    let config = PoolConfig {
-        workers: o.workers,
-        heartbeat_timeout: o.heartbeat_timeout,
-        max_attempts: o.max_attempts,
-        jitter_seed: o.jitter_seed,
-        ..PoolConfig::default()
-    };
-
-    let mut report = Supervisor::new(factory, config)
-        .with_stop_flag(Arc::clone(&stop))
-        .run(todo, persist);
-    for w in &report.warnings {
+    let pool = workercmd::worker_pool(&o.pool)?;
+    let run = run_jobs(
+        &pool,
+        manifest.digest,
+        &expanded,
+        resumed,
+        o.checkpoint.as_ref().map(PathBuf::from),
+        &stop,
+        |verdicts| write_status(o.status_file.as_deref(), verdicts, total),
+    )?;
+    for w in &run.warnings {
         eprintln!("warning: {w}");
     }
-
-    // Degradation: the pool gave jobs back without a stop request, so
-    // no worker could be kept alive. Run them here rather than failing
-    // the campaign — isolation is lost, the verdicts are not.
-    if !report.stopped && !report.leftover.is_empty() {
-        eprintln!(
-            "warning: no worker process available; running {} leftover job(s) \
-             in-process without isolation",
-            report.leftover.len()
-        );
-        for spec in std::mem::take(&mut report.leftover) {
-            if stop.load(Ordering::SeqCst) {
-                report.stopped = true;
-                break;
-            }
-            let progress = Arc::new(Progress::default());
-            let outcome = match workercmd::run_job(&spec.payload, &progress) {
-                Ok(result) => JobOutcome::Done {
-                    payload: result.to_payload(),
-                },
-                Err(msg) => JobOutcome::Quarantined {
-                    failures: vec![chess_core::procpool::AttemptFailure::HandlerError(msg)],
-                },
-            };
-            persist(&JobVerdict {
-                id: spec.id,
-                attempts: 1,
-                outcome,
-            });
-        }
-    }
-
-    let verdicts = verdicts.into_inner();
-    let s = &report.stats;
+    let s = &run.stats;
     eprintln!(
         "campaign stats: {} workers spawned, {} lost, {} watchdog kills, \
          {} failed attempts, {} spawn failures",
         s.workers_spawned, s.workers_lost, s.watchdog_kills, s.failed_attempts, s.spawn_failures
     );
 
-    if report.stopped {
-        eprintln!("interrupted: {} of {total} jobs decided", verdicts.len());
+    if run.stopped {
+        eprintln!(
+            "interrupted: {} of {total} jobs decided",
+            run.verdicts.len()
+        );
         if let Some(path) = &o.checkpoint {
             eprintln!(
                 "resume with: fair-chess serve {} --resume {path} --checkpoint {path}",
@@ -185,21 +101,10 @@ fn serve(o: &ServeOpts) -> Result<u8, String> {
 
     // Collapse shard verdicts back to manifest-level jobs, then print
     // the deterministic report in manifest order.
-    let merged = merge_verdicts(&manifest, &verdicts)?;
+    let merged = merge_verdicts(&manifest, &run.verdicts)?;
     let (text, code) = render_report(&manifest, &merged)?;
     print!("{text}");
     Ok(code)
-}
-
-/// Resolves the binary to re-exec as a worker. `FAIR_CHESS_WORKER_BIN`
-/// overrides the default (this executable) — the fault-injection tests
-/// point it at a nonexistent path to force the degraded in-process
-/// path. Shared with the daemon front end.
-pub(crate) fn worker_binary() -> Result<PathBuf, String> {
-    match std::env::var_os("FAIR_CHESS_WORKER_BIN") {
-        Some(p) => Ok(PathBuf::from(p)),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}")),
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! The hidden `worker` subcommand: the process a `serve` supervisor
-//! re-execs for every pool slot.
+//! The hidden `worker` subcommand: the process `serve` and the daemon
+//! re-exec for every pool slot, and [`worker_pool`], which builds that
+//! pool for both.
 //!
 //! A worker speaks the `chess_core::procpool` line protocol over
 //! stdin/stdout and runs one job at a time through the same workload
@@ -28,7 +29,8 @@
 //! reprint byte-for-byte. A check job may carry `shard_index`/
 //! `shard_of` (written by the campaign layer's expansion of a
 //! `"shards": K` job) to run one slice of the search. A field of the
-//! wrong type (`"reduce": "yes"`) is rejected, never ignored.
+//! wrong type (`"reduce": "yes"`) is rejected, never ignored, and a fuzz
+//! job's generator knobs must lie in the ranges the `fuzz` flags allow.
 //!
 //! # Chaos injection
 //!
@@ -40,19 +42,22 @@
 //! (seed, job id, attempt), so retries re-roll deterministically and a
 //! re-run (or resumed) campaign injects the identical fault sequence.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use chess_bench::Json;
-use chess_core::procpool::worker_main;
-use chess_core::{derive_seed, generate_system, FuzzConfig, Progress};
+use chess_core::procpool::{worker_main, PoolConfig};
+use chess_core::{derive_seed, generate_system, Progress};
+use chess_server::{JobResult, WorkerPool};
 use chess_state::{differential_check_with_progress, OracleLimits, SystemOutcome};
 
 use crate::exitcode;
-use crate::opts::{self, RunOpts, WorkerOpts};
-use crate::run::{run_check_job, JobRunResult};
+use crate::fuzzcmd::fuzz_config;
+use crate::opts::{self, FuzzOpts, PoolOpts, RunOpts, WorkerOpts};
+use crate::run::run_check_job;
 
 /// Runs the worker protocol loop until the supervisor shuts us down or
 /// closes stdin.
@@ -70,13 +75,44 @@ pub fn do_worker(o: &WorkerOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses and runs one job payload. Also the degraded in-process path:
-/// when `serve` cannot spawn any worker it calls this directly.
-pub fn run_job(payload: &str, progress: &Arc<Progress>) -> Result<JobRunResult, String> {
+/// The pool `serve` and the daemon run campaigns on: this executable
+/// (or `FAIR_CHESS_WORKER_BIN`, which the fault-injection tests point at
+/// a nonexistent path to force the degraded path) re-exec'd as `worker`,
+/// with [`run_job`] as the in-process stand-in.
+pub fn worker_pool(o: &PoolOpts) -> Result<WorkerPool, String> {
+    let program = std::env::var_os("FAIR_CHESS_WORKER_BIN")
+        .map_or_else(std::env::current_exe, |p| Ok(PathBuf::from(p)))
+        .map_err(|e| format!("cannot locate own executable: {e}"))?;
+    // Workers heartbeat at a fraction of the watchdog deadline so a live
+    // job always beats it.
+    let heartbeat_ms = (o.heartbeat_timeout.as_millis() as u64 / 5).clamp(10, 500);
+    Ok(WorkerPool {
+        config: PoolConfig {
+            workers: o.workers,
+            heartbeat_timeout: o.heartbeat_timeout,
+            max_attempts: o.max_attempts,
+            jitter_seed: o.jitter_seed,
+            ..PoolConfig::default()
+        },
+        program,
+        args: vec![
+            "worker".to_string(),
+            "--heartbeat-millis".to_string(),
+            heartbeat_ms.to_string(),
+        ],
+        in_process: |payload| {
+            run_job(payload, &Arc::new(Progress::default())).map(|r| r.to_payload())
+        },
+    })
+}
+
+/// Parses and runs one job payload, in a worker or, when no worker can
+/// be spawned, in the front end's own process.
+pub fn run_job(payload: &str, progress: &Arc<Progress>) -> Result<JobResult, String> {
     let json = Json::parse(payload).map_err(|e| format!("job payload: {e}"))?;
     match job_kind(&json) {
         "check" => run_check_job(&check_opts_from_json(&json)?, progress),
-        "fuzz" => run_fuzz_job(&json, progress),
+        "fuzz" => Ok(run_fuzz_job(&fuzz_opts_from_json(&json)?, progress)),
         other => Err(format!("unknown job kind '{other}'")),
     }
 }
@@ -89,7 +125,7 @@ pub fn run_job(payload: &str, progress: &Arc<Progress>) -> Result<JobRunResult, 
 pub fn validate_job(json: &Json) -> Result<(), String> {
     match job_kind(json) {
         "check" => check_opts_from_json(json).map(|_| ()),
-        "fuzz" => Ok(()),
+        "fuzz" => fuzz_opts_from_json(json).map(|_| ()),
         other => Err(format!("unknown job kind '{other}'")),
     }
 }
@@ -98,26 +134,28 @@ fn job_kind(json: &Json) -> &str {
     json.get("kind").and_then(Json::as_str).unwrap_or("check")
 }
 
+/// Reads a job field with `get`. A present field of the wrong type is an
+/// error naming the type it should have, never a silent fallback to the
+/// default.
+fn field<'a, T>(
+    json: &'a Json,
+    key: &str,
+    want: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match json.get(key) {
+        None => Ok(None),
+        Some(v) => get(v)
+            .map(Some)
+            .ok_or_else(|| format!("{} job field '{key}' must be {want}", job_kind(json))),
+    }
+}
+
 /// Builds the `check`-equivalent options from a check job object. Only
 /// single-process knobs are honored: parallelism comes from the pool,
 /// and journaling belongs to the supervisor, so `jobs`, `checkpoint`,
 /// and `resume` stay at their defaults.
 fn check_opts_from_json(json: &Json) -> Result<RunOpts, String> {
-    // A present field of the wrong type is an error, never a silent
-    // fallback to the default.
-    fn field<'a, T>(
-        json: &'a Json,
-        key: &str,
-        want: &str,
-        get: impl Fn(&'a Json) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        match json.get(key) {
-            None => Ok(None),
-            Some(v) => get(v)
-                .map(Some)
-                .ok_or_else(|| format!("check job field '{key}' must be {want}")),
-        }
-    }
     let text = |key: &str| field(json, key, "a string", Json::as_str);
     let flag = |key: &str| field(json, key, "a boolean", Json::as_bool);
     let count = |key: &str| field(json, key, "a non-negative integer", Json::as_u64);
@@ -174,47 +212,52 @@ fn check_opts_from_json(json: &Json) -> Result<RunOpts, String> {
     Ok(o)
 }
 
-/// A small in-process differential-fuzz sweep: `systems` generated
+/// Builds the `fuzz`-equivalent options from a fuzz job object: the
+/// generator knobs, the seed, the system count (10 unless given) and the
+/// oracles' state cap. Knobs out of the `fuzz` flags' ranges and unknown
+/// injections are rejected, so a bad job fails at load time.
+fn fuzz_opts_from_json(json: &Json) -> Result<FuzzOpts, String> {
+    let count = |key: &str| field(json, key, "a non-negative integer", Json::as_u64);
+    let knob = |key: &str| -> Result<Option<u64>, String> {
+        count(key)?
+            .map(|v| opts::fuzz_knob(key, v).map_err(|why| format!("fuzz job field '{key}' {why}")))
+            .transpose()
+    };
+    let d = FuzzOpts::default();
+    let mut o = FuzzOpts {
+        systems: count("systems")?.unwrap_or(10),
+        seed: count("seed")?.unwrap_or(d.seed),
+        max_states: count("max_states")?.map_or(d.max_states, |n| n as usize),
+        max_threads: knob("max_threads")?.map_or(d.max_threads, |n| n as usize),
+        max_ops: knob("max_ops")?.map_or(d.max_ops, |n| n as usize),
+        yield_percent: knob("yield_percent")?.map_or(d.yield_percent, |p| p as u32),
+        ..d
+    };
+    let inject = field(json, "inject", "an array of strings", Json::as_array)?;
+    for kind in inject.unwrap_or_default() {
+        let kind = kind
+            .as_str()
+            .ok_or("fuzz job field 'inject' must be an array of strings")?;
+        o.inject(kind)?;
+    }
+    Ok(o)
+}
+
+/// A small in-process differential-fuzz sweep: `o.systems` generated
 /// systems checked against the stateful oracles, one progress tick per
 /// system. The summary line is deterministic (counts only).
-fn run_fuzz_job(json: &Json, progress: &Arc<Progress>) -> Result<JobRunResult, String> {
-    let num = |key: &str, default: u64| json.get(key).and_then(Json::as_u64).unwrap_or(default);
-    let systems = num("systems", 10);
-    let base_seed = num("seed", 1);
+fn run_fuzz_job(o: &FuzzOpts, progress: &Arc<Progress>) -> JobResult {
     let limits = OracleLimits {
-        max_states: num("max_states", 200_000) as usize,
+        max_states: o.max_states,
         // The pool owns parallelism (and the cross-check's private
         // workers would not feed the heartbeat progress); keep each job
         // a single-threaded, fully progress-observed check.
         parallel_cross_check: false,
         ..OracleLimits::default()
     };
-    let mut inject = [false; 4]; // safety, deadlock, livelock, panic
-    if let Some(Json::Array(kinds)) = json.get("inject") {
-        for kind in kinds {
-            match kind.as_str() {
-                Some("safety") => inject[0] = true,
-                Some("deadlock") => inject[1] = true,
-                Some("livelock") => inject[2] = true,
-                Some("panic") => inject[3] = true,
-                other => return Err(format!("fuzz job: unknown injection {other:?}")),
-            }
-        }
-    }
     let (mut clean, mut buggy, mut skipped, mut discrepancies) = (0u64, 0u64, 0u64, 0u64);
-    for i in 0..systems {
-        let seed = derive_seed(base_seed, i);
-        let config = FuzzConfig {
-            max_threads: num("max_threads", 3) as usize,
-            max_ops: num("max_ops", 4) as usize,
-            yield_percent: num("yield_percent", 60) as u32,
-            inject_safety: inject[0],
-            inject_deadlock: inject[1],
-            inject_livelock: inject[2],
-            inject_panic: inject[3],
-            ..FuzzConfig::default().with_seed(seed)
-        };
-        let sys = generate_system(&config);
+    for i in 0..o.systems {
+        let sys = generate_system(&fuzz_config(o, derive_seed(o.seed, i)));
         let verdict = differential_check_with_progress(|| sys.clone(), &limits, progress);
         match &verdict.outcome {
             SystemOutcome::Clean => clean += 1,
@@ -229,16 +272,17 @@ fn run_fuzz_job(json: &Json, progress: &Arc<Progress>) -> Result<JobRunResult, S
     } else {
         exitcode::CLEAN
     };
-    Ok(JobRunResult {
+    JobResult {
         code,
         line: format!(
-            "fuzz: {systems} systems (base seed {base_seed}) — {clean} clean, {buggy} buggy, \
-             {skipped} skipped, {discrepancies} discrepancies"
+            "fuzz: {} systems (base seed {}) — {clean} clean, {buggy} buggy, \
+             {skipped} skipped, {discrepancies} discrepancies",
+            o.systems, o.seed
         ),
         // A fuzz sweep has no search report to merge; only check jobs
         // shard.
         report: None,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -370,12 +414,12 @@ mod tests {
 
     #[test]
     fn job_result_round_trips() {
-        let r = JobRunResult {
+        let r = JobResult {
             code: 4,
             line: "deadlock: both forks held (execution 9) — 12 executions".to_string(),
             report: None,
         };
-        let back = JobRunResult::from_payload(&r.to_payload()).unwrap();
+        let back = JobResult::from_payload(&r.to_payload()).unwrap();
         assert_eq!(back, r);
     }
 
@@ -428,6 +472,52 @@ mod tests {
             let err = check_opts_from_json(&Json::parse(bad).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
         }
+    }
+
+    /// Fuzz jobs are held to the `fuzz` flags' types and ranges at load
+    /// time, instead of running with a default or failing in a worker.
+    #[test]
+    fn fuzz_jobs_out_of_the_flags_ranges_are_rejected() {
+        for (bad, needle) in [
+            (
+                r#"{"kind": "fuzz", "systems": "100"}"#,
+                "fuzz job field 'systems' must be a non-negative integer",
+            ),
+            (
+                r#"{"kind": "fuzz", "yield_percent": 500}"#,
+                "fuzz job field 'yield_percent' must be 0..=100",
+            ),
+            (
+                r#"{"kind": "fuzz", "max_threads": 1}"#,
+                "fuzz job field 'max_threads' needs at least 2",
+            ),
+            (
+                r#"{"kind": "fuzz", "max_ops": 0}"#,
+                "fuzz job field 'max_ops' needs at least 1",
+            ),
+            (
+                r#"{"kind": "fuzz", "inject": ["explode"]}"#,
+                "unknown injection 'explode'",
+            ),
+            (
+                r#"{"kind": "fuzz", "inject": "deadlock"}"#,
+                "fuzz job field 'inject' must be an array of strings",
+            ),
+        ] {
+            let err = validate_job(&Json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
+        // The shapes existing manifests use stay valid.
+        for good in [
+            r#"{"id": "f", "kind": "fuzz", "seed": 7, "systems": 20}"#,
+            r#"{"id": "f", "kind": "fuzz", "seed": 7, "systems": 4,
+                "inject": ["deadlock"], "max_states": 50000}"#,
+            r#"{"kind": "fuzz", "max_threads": 2, "max_ops": 1, "yield_percent": 100}"#,
+        ] {
+            validate_job(&Json::parse(good).unwrap()).unwrap();
+        }
+        let o = fuzz_opts_from_json(&Json::parse(r#"{"kind": "fuzz"}"#).unwrap()).unwrap();
+        assert_eq!((o.systems, o.seed, o.max_states), (10, 1, 200_000));
     }
 
     #[test]

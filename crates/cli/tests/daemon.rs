@@ -10,6 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use chess_bench::Json;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fair-chess"))
 }
@@ -52,7 +54,18 @@ impl Daemon {
     /// Spawns `fair-chess daemon` on a fresh unix socket over `store`
     /// and waits until it answers a `status` request.
     fn start(dir: &Path, store: &str) -> Daemon {
+        Daemon::start_with_env(dir, store, &[])
+    }
+
+    /// As [`Daemon::start`], with extra environment variables; the
+    /// daemon's stderr is appended to `<dir>/<store>.log`.
+    fn start_with_env(dir: &Path, store: &str, env: &[(&str, &str)]) -> Daemon {
         let sock = dir.join("daemon.sock").to_str().unwrap().to_string();
+        let log = std::fs::File::options()
+            .create(true)
+            .append(true)
+            .open(dir.join(format!("{store}.log")))
+            .expect("open daemon log");
         let store = dir.join(store).to_str().unwrap().to_string();
         let child = bin()
             .args([
@@ -64,8 +77,9 @@ impl Daemon {
                 "--workers",
                 "2",
             ])
+            .envs(env.iter().copied())
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
+            .stderr(log)
             .spawn()
             .expect("spawn daemon");
         let daemon = Daemon { child, sock, store };
@@ -447,4 +461,91 @@ fn oversized_request_line_gets_a_structured_error_and_the_daemon_survives() {
     let status = raw_exchange(&daemon.sock, r#"{"v": 1, "op": "status"}"#);
     assert!(status.contains(r#""ok": true"#), "{status}");
     daemon.shutdown();
+}
+
+/// With no worker spawnable, `serve` and the daemon both run the jobs
+/// in-process through one driver, so one manifest prints one report:
+/// the same text (a failing job quarantined as a handler error) and the
+/// same exit code.
+#[test]
+fn degraded_serve_and_daemon_print_the_same_report() {
+    let dir = temp_dir("degraded");
+    let manifest = write_manifest(
+        &dir,
+        "degraded.json",
+        r#"{"jobs": [
+            {"id": "racy", "workload": "counter", "bug": "racy", "max_executions": 20000},
+            {"id": "ghost", "workload": "no-such-workload"}
+        ]}"#,
+    );
+    let env = [("FAIR_CHESS_WORKER_BIN", "/nonexistent/fair-chess")];
+    let served = bin()
+        .args(["serve", &manifest])
+        .envs(env)
+        .output()
+        .expect("run serve");
+    assert_eq!(served.status.code(), Some(1), "{served:?}");
+    assert!(
+        stdout(&served).contains("ghost: quarantined after 1 attempts (handler error: "),
+        "{served:?}"
+    );
+
+    let daemon = Daemon::start_with_env(&dir, "store", &env);
+    let submit = fair_chess(&["submit", &manifest, "--connect", &daemon.sock, "--watch"]);
+    assert_eq!(submit.status.code(), Some(1), "{submit:?}");
+    let campaign = campaign_of(&stdout(&submit));
+    let results = fair_chess(&["results", &campaign, "--connect", &daemon.sock]);
+    daemon.shutdown();
+    assert_eq!(stdout(&results), stdout(&served));
+    assert_eq!(results.status.code(), served.status.code());
+}
+
+/// A store journal that repeats one job's verdict and lacks another's
+/// would mark the campaign finished with a job undecided; the startup
+/// scan skips it with a warning naming the job instead.
+#[test]
+fn store_journal_with_a_repeated_verdict_is_skipped_at_startup() {
+    let dir = temp_dir("repeated");
+    let manifest = write_manifest(
+        &dir,
+        "two-jobs.json",
+        r#"{"jobs": [{"id": "a", "workload": "counter", "max_executions": 100},
+                     {"id": "b", "workload": "counter", "max_executions": 100}]}"#,
+    );
+    let daemon = Daemon::start(&dir, "store");
+    let submit = fair_chess(&["submit", &manifest, "--connect", &daemon.sock, "--watch"]);
+    assert_eq!(submit.status.code(), Some(0), "{submit:?}");
+    let campaign = campaign_of(&stdout(&submit));
+    daemon.shutdown();
+
+    let journal = dir
+        .join("store")
+        .join("campaigns")
+        .join(&campaign)
+        .join("journal.json");
+    let mut doc = Json::parse(&std::fs::read_to_string(&journal).unwrap()).unwrap();
+    let Json::Object(fields) = &mut doc else {
+        panic!("journal is not an object")
+    };
+    let Some((_, Json::Array(verdicts))) = fields.iter_mut().find(|(k, _)| k == "verdicts") else {
+        panic!("journal has no verdicts array")
+    };
+    verdicts.retain(|v| v.get("id").and_then(Json::as_str) == Some("a"));
+    verdicts.push(verdicts[0].clone());
+    std::fs::write(&journal, doc.to_string_pretty()).unwrap();
+
+    let daemon = Daemon::start(&dir, "store");
+    let status = fair_chess(&["status", &campaign, "--connect", &daemon.sock]);
+    let results = fair_chess(&["results", &campaign, "--connect", &daemon.sock]);
+    daemon.shutdown();
+    assert_eq!(status.status.code(), Some(2), "{status:?}");
+    assert!(stderr(&status).contains("unknown campaign"), "{status:?}");
+    assert_eq!(results.status.code(), Some(2), "{results:?}");
+    let log = std::fs::read_to_string(dir.join("store.log")).unwrap();
+    assert!(
+        log.contains(&format!(
+            "daemon: store: skipping store campaign {campaign}"
+        )) && log.contains("two verdicts for job \"a\""),
+        "{log}"
+    );
 }

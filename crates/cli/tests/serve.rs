@@ -7,6 +7,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use chess_bench::Json;
+
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fair-chess"))
 }
@@ -512,4 +514,64 @@ fn malformed_manifest_is_a_usage_error_with_a_byte_offset() {
     let missing = fair_chess(&["serve", "/nonexistent/campaign.json"]);
     assert_eq!(missing.status.code(), Some(2), "{missing:?}");
     assert!(stderr(&missing).contains("campaign.json"), "{missing:?}");
+}
+
+/// Rewrites the verdict list of a campaign journal in place.
+fn edit_journal_verdicts(journal: &Path, edit: impl FnOnce(&mut Vec<Json>)) {
+    let mut doc = Json::parse(&std::fs::read_to_string(journal).unwrap()).unwrap();
+    let Json::Object(fields) = &mut doc else {
+        panic!("journal is not an object")
+    };
+    let Some((_, Json::Array(verdicts))) = fields.iter_mut().find(|(k, _)| k == "verdicts") else {
+        panic!("journal has no verdicts array")
+    };
+    edit(verdicts);
+    std::fs::write(journal, doc.to_string_pretty()).unwrap();
+}
+
+/// A journal whose digest matches but whose verdicts are not one per
+/// job of the campaign is refused, naming the journal and the job id,
+/// instead of reporting a campaign that never ran a job.
+#[test]
+fn resume_rejects_repeated_and_foreign_verdicts() {
+    let manifest = write_manifest(
+        "two-jobs.json",
+        r#"{"jobs": [{"id": "a", "workload": "counter", "max_executions": 100},
+                     {"id": "b", "workload": "counter", "max_executions": 100}]}"#,
+    );
+    let manifest = manifest.to_str().unwrap();
+    for (case, needle) in [
+        ("repeated", "two verdicts for job \"a\""),
+        ("foreign", "verdict for \"z\""),
+    ] {
+        let journal = temp_dir().join(format!("{case}-journal.json"));
+        let journal_s = journal.to_str().unwrap();
+        let out = fair_chess(&["serve", manifest, "--checkpoint", journal_s]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        edit_journal_verdicts(&journal, |verdicts| {
+            let a = verdicts
+                .iter()
+                .find(|v| v.get("id").and_then(Json::as_str) == Some("a"))
+                .unwrap()
+                .clone();
+            let mut extra = a.clone();
+            if case == "foreign" {
+                let Json::Object(fields) = &mut extra else {
+                    panic!("verdict is not an object")
+                };
+                fields.iter_mut().find(|(k, _)| k == "id").unwrap().1 = Json::Str("z".into());
+            } else {
+                verdicts.retain(|v| v.get("id").and_then(Json::as_str) != Some("b"));
+            }
+            verdicts.push(extra);
+        });
+        let out = fair_chess(&["serve", manifest, "--resume", journal_s]);
+        assert_eq!(out.status.code(), Some(2), "{case}: {out:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(journal_s) && err.contains(needle),
+            "{case}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{case}: {out:?}");
+    }
 }

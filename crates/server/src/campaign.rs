@@ -1,6 +1,6 @@
-//! Campaign manifests, verdicts, journals, and reports — the machinery
-//! shared by the one-shot `fair-chess serve` front end and the
-//! long-running daemon.
+//! Campaign manifests, verdicts, journals, reports, and the campaign
+//! driver [`run_jobs`] — the machinery shared by the one-shot
+//! `fair-chess serve` front end and the long-running daemon.
 //!
 //! A campaign is a JSON manifest with a `jobs` array. Each job reaches
 //! exactly one terminal [`Verdict`], verdicts are journaled atomically
@@ -13,10 +13,15 @@
 //! callback instead of hard-coding one.
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use chess_bench::{read_journal, write_atomic, Json};
-use chess_core::procpool::{JobOutcome, JobSpec, JobVerdict};
+use chess_bench::{read_journal, write_atomic, JournalWriter, Json};
+use chess_core::procpool::{
+    AttemptFailure, JobOutcome, JobSpec, JobVerdict, PoolConfig, PoolStats, ProcessWorkerFactory,
+    Supervisor,
+};
 use chess_core::{exitcode, SearchReport};
 
 /// Campaign journal format version.
@@ -317,14 +322,22 @@ pub fn parse_journal_doc(doc: &Json, digest: Option<u64>) -> Result<Vec<Verdict>
     items.iter().map(verdict_from_json).collect()
 }
 
-/// Loads a campaign journal file and returns its verdicts.
+/// Loads a campaign journal file and returns its verdicts, checked
+/// against the campaign's expanded jobs by [`pending_jobs`].
 ///
 /// # Errors
 ///
-/// I/O and parse failures, labeled with the path.
-pub fn load_campaign_journal(path: &Path, digest: u64) -> Result<Vec<Verdict>, String> {
+/// I/O and parse failures and verdicts that are not the campaign's,
+/// labeled with the path.
+pub fn load_campaign_journal(
+    path: &Path,
+    digest: u64,
+    expanded: &[JobSpec],
+) -> Result<Vec<Verdict>, String> {
     let doc = read_journal(path)?;
-    parse_journal_doc(&doc, Some(digest)).map_err(|e| format!("{}: {e}", path.display()))
+    parse_journal_doc(&doc, Some(digest))
+        .and_then(|verdicts| pending_jobs(expanded, &verdicts).map(|_| verdicts))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The at-a-glance progress document: totals only, cheap to poll. The
@@ -352,6 +365,147 @@ pub fn write_status(path: Option<&str>, verdicts: &[Verdict], total: usize) {
         // Status is advisory; never fail a campaign over it.
         eprintln!("warning: status file: {e}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The campaign driver
+// ---------------------------------------------------------------------
+
+/// The worker processes a campaign runs on, and the in-process runner
+/// that stands in for them when none can be spawned.
+#[derive(Debug, Clone)]
+pub struct WorkerPool {
+    /// Pool sizing and watchdog knobs.
+    pub config: PoolConfig,
+    /// The worker binary to re-exec for each pool slot.
+    pub program: PathBuf,
+    /// Arguments for the worker binary.
+    pub args: Vec<String>,
+    /// Runs one job in this process: takes the job payload, returns the
+    /// result payload. The degraded path when no worker can be spawned.
+    pub in_process: fn(&str) -> Result<String, String>,
+}
+
+/// What [`run_jobs`] hands back to its front end.
+#[derive(Debug)]
+pub struct CampaignRun {
+    /// Every verdict: the resumed ones, then the new ones in completion
+    /// order.
+    pub verdicts: Vec<Verdict>,
+    /// Pool, degradation and journal warnings, for the front end to
+    /// print.
+    pub warnings: Vec<String>,
+    /// Pool counters.
+    pub stats: PoolStats,
+    /// Whether the stop flag ended the run before every job was decided.
+    pub stopped: bool,
+}
+
+/// The expanded jobs that `decided` holds no verdict for, in expansion
+/// order: the decided-job filter, and the one check every resumed
+/// verdict list passes.
+///
+/// # Errors
+///
+/// A verdict for an id that is not an expanded job, or a second verdict
+/// for one job: a journal like that would mark the campaign finished
+/// while a job has no verdict.
+pub fn pending_jobs(expanded: &[JobSpec], decided: &[Verdict]) -> Result<Vec<JobSpec>, String> {
+    let ids: HashSet<&str> = expanded.iter().map(|j| j.id.as_str()).collect();
+    let mut seen = HashSet::new();
+    for v in decided {
+        if !ids.contains(v.id.as_str()) {
+            return Err(format!(
+                "journal has a verdict for {:?}, which is not a job of this campaign",
+                v.id
+            ));
+        }
+        if !seen.insert(v.id.as_str()) {
+            return Err(format!("journal has two verdicts for job {:?}", v.id));
+        }
+    }
+    Ok(expanded
+        .iter()
+        .filter(|j| !seen.contains(j.id.as_str()))
+        .cloned()
+        .collect())
+}
+
+/// Runs the undecided jobs of a campaign on `pool` until every job has
+/// a verdict or `stop` is raised: the one campaign loop of `serve` and
+/// the daemon.
+///
+/// Each new verdict is appended to the list, shown to `on_verdict`
+/// (which sees every verdict so far, the new one last), and then, when
+/// `journal` names a file, journaled there with `digest`. If the pool
+/// gives jobs back without a stop request, no worker could be kept
+/// alive: the leftovers run one by one through `pool.in_process`, each
+/// failure quarantined after its one attempt as a handler error.
+///
+/// # Errors
+///
+/// `resumed` fails [`pending_jobs`]; nothing has run then.
+pub fn run_jobs(
+    pool: &WorkerPool,
+    digest: u64,
+    expanded: &[JobSpec],
+    resumed: Vec<Verdict>,
+    journal: Option<PathBuf>,
+    stop: &Arc<AtomicBool>,
+    mut on_verdict: impl FnMut(&[Verdict]),
+) -> Result<CampaignRun, String> {
+    let todo = pending_jobs(expanded, &resumed)?;
+    let mut verdicts = resumed;
+    let mut journal = journal.map(JournalWriter::new);
+    let mut record = |verdicts: &mut Vec<Verdict>, verdict: &JobVerdict| {
+        verdicts.push(Verdict::from_pool(verdict));
+        on_verdict(verdicts);
+        if let Some(journal) = &mut journal {
+            journal.write(&journal_doc(digest, verdicts));
+        }
+    };
+
+    let factory = ProcessWorkerFactory::new(pool.program.clone(), pool.args.clone());
+    let report = Supervisor::new(factory, pool.config.clone())
+        .with_stop_flag(Arc::clone(stop))
+        .run(todo, |v| record(&mut verdicts, v));
+    let mut warnings = report.warnings;
+    let mut stopped = report.stopped;
+    if !stopped && !report.leftover.is_empty() {
+        warnings.push(format!(
+            "no worker process available; running {} leftover job(s) in-process \
+             without isolation",
+            report.leftover.len()
+        ));
+        for job in report.leftover {
+            if stop.load(Ordering::Acquire) {
+                stopped = true;
+                break;
+            }
+            // A failure reads as a worker's handler error would.
+            let outcome = match (pool.in_process)(&job.payload) {
+                Ok(payload) => JobOutcome::Done { payload },
+                Err(msg) => JobOutcome::Quarantined {
+                    failures: vec![AttemptFailure::HandlerError(msg)],
+                },
+            };
+            let verdict = JobVerdict {
+                id: job.id,
+                attempts: 1,
+                outcome,
+            };
+            record(&mut verdicts, &verdict);
+        }
+    }
+    if let Some(journal) = &journal {
+        warnings.extend_from_slice(journal.warnings());
+    }
+    Ok(CampaignRun {
+        verdicts,
+        warnings,
+        stats: report.stats,
+        stopped,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -534,6 +688,145 @@ mod tests {
             JobResult::from_payload(&with_report.to_payload()).unwrap(),
             with_report
         );
+    }
+
+    fn job(id: &str) -> JobSpec {
+        JobSpec {
+            id: id.to_string(),
+            payload: format!("{{\"id\": \"{id}\"}}"),
+        }
+    }
+
+    fn clean_payload() -> String {
+        JobResult {
+            code: 0,
+            line: "search complete".to_string(),
+            report: None,
+        }
+        .to_payload()
+    }
+
+    fn done(id: &str) -> Verdict {
+        Verdict {
+            id: id.to_string(),
+            attempts: 1,
+            outcome: VerdictOutcome::Done {
+                payload: clean_payload(),
+            },
+        }
+    }
+
+    /// Stands in for a worker: jobs whose id starts with "bad" fail.
+    fn fake_in_process(payload: &str) -> Result<String, String> {
+        let json = Json::parse(payload).map_err(|e| e.to_string())?;
+        if json
+            .get("id")
+            .and_then(Json::as_str)
+            .unwrap()
+            .starts_with("bad")
+        {
+            return Err("unknown workload 'nope'".to_string());
+        }
+        Ok(clean_payload())
+    }
+
+    fn unspawnable_pool() -> WorkerPool {
+        WorkerPool {
+            config: PoolConfig::default(),
+            program: PathBuf::from("/nonexistent/fair-chess-worker"),
+            args: Vec::new(),
+            in_process: fake_in_process,
+        }
+    }
+
+    #[test]
+    fn leftover_jobs_run_in_process_and_failures_are_handler_errors() {
+        let dir = std::env::temp_dir().join(format!("chess-run-jobs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("journal.json");
+        let expanded = vec![job("a"), job("bad"), job("c")];
+        let mut seen = Vec::new();
+        let run = run_jobs(
+            &unspawnable_pool(),
+            7,
+            &expanded,
+            vec![done("c")],
+            Some(journal.clone()),
+            &Arc::new(AtomicBool::new(false)),
+            |verdicts| seen.push(verdicts.last().unwrap().id.clone()),
+        )
+        .unwrap();
+        assert!(!run.stopped);
+        assert!(run.stats.spawn_failures > 0, "{:?}", run.stats);
+        assert!(
+            run.warnings.iter().any(|w| w.contains("in-process")),
+            "{:?}",
+            run.warnings
+        );
+        // The resumed job is not rerun; each new verdict is seen once.
+        assert_eq!(seen, ["a", "bad"]);
+        let ids: Vec<&str> = run.verdicts.iter().map(|v| v.id.as_str()).collect();
+        assert_eq!(ids, ["c", "a", "bad"]);
+        assert_eq!(run.verdicts[1], done("a"));
+        assert_eq!(
+            run.verdicts[2],
+            Verdict {
+                id: "bad".to_string(),
+                attempts: 1,
+                outcome: VerdictOutcome::Quarantined {
+                    failures: vec!["handler error: unknown workload 'nope'".to_string()],
+                },
+            }
+        );
+        // The journal holds every verdict exactly once.
+        let journaled = load_campaign_journal(&journal, 7, &expanded).unwrap();
+        assert_eq!(journaled, run.verdicts);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_raised_stop_flag_ends_the_run_between_leftover_jobs() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let run = run_jobs(
+            &unspawnable_pool(),
+            7,
+            &[job("a"), job("b"), job("c")],
+            Vec::new(),
+            None,
+            &stop,
+            |_| stop.store(true, Ordering::Release),
+        )
+        .unwrap();
+        assert!(run.stopped);
+        assert_eq!(run.verdicts, [done("a")]);
+    }
+
+    #[test]
+    fn resumed_verdicts_must_be_one_per_campaign_job() {
+        let expanded = [job("a"), job("b")];
+        let todo = pending_jobs(&expanded, &[done("b")]).unwrap();
+        assert_eq!(todo, [job("a")]);
+        for (decided, needle) in [
+            (vec![done("a"), done("a")], "two verdicts for job \"a\""),
+            (vec![done("a"), done("z")], "verdict for \"z\""),
+        ] {
+            let err = pending_jobs(&expanded, &decided).unwrap_err();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+            // The driver refuses them before running anything.
+            let mut ran = false;
+            let err = run_jobs(
+                &unspawnable_pool(),
+                7,
+                &expanded,
+                decided,
+                None,
+                &Arc::new(AtomicBool::new(false)),
+                |_| ran = true,
+            )
+            .unwrap_err();
+            assert!(err.contains(needle), "{err:?}");
+            assert!(!ran);
+        }
     }
 
     #[test]

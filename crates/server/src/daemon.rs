@@ -17,8 +17,14 @@
 //! stored verdicts answer for it. Submitting genuinely new work
 //! persists the manifest *before* acknowledging, so an acknowledged
 //! submit survives any crash.
+//!
+//! Each campaign runs through [`crate::campaign::run_jobs`], the driver
+//! `fair-chess serve` uses too: the pool, the journal rewrite per
+//! verdict and the degraded in-process path are one code path. What the
+//! daemon adds around it is the store, its lock, the watchers and the
+//! FIFO queue.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, TryLockError};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -26,25 +32,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use chess_bench::{JournalWriter, Json};
+use chess_bench::Json;
 use chess_core::exitcode;
-use chess_core::procpool::{
-    read_line_bounded, JobSpec, LineRead, PoolConfig, ProcessWorkerFactory, Supervisor,
-    MAX_LINE_BYTES,
-};
+use chess_core::procpool::{read_line_bounded, JobSpec, LineRead, MAX_LINE_BYTES};
 
 use crate::campaign::{
-    journal_doc, parse_manifest, JobResult, JobValidator, Manifest, Verdict, VerdictOutcome,
+    parse_manifest, pending_jobs, run_jobs, status_doc, JobResult, JobValidator, Manifest, Verdict,
+    VerdictOutcome, WorkerPool,
 };
 use crate::net::{Listen, Stream};
 use crate::protocol::{error_response, event, ok_response, parse_request, to_line, Request};
 use crate::shard::{expand_jobs, merge_verdicts};
 use crate::store::{digest_hex, parse_manifest_text, Store};
-
-/// Runs a leftover job in-process when no worker can be spawned at all
-/// (the same degraded path `fair-chess serve` has). Takes the job
-/// payload, returns the result payload.
-pub type FallbackRunner = fn(&str) -> Result<String, String>;
 
 /// Everything a daemon needs to run.
 pub struct DaemonConfig {
@@ -52,16 +51,10 @@ pub struct DaemonConfig {
     pub listen: Listen,
     /// The persistent store root.
     pub store_dir: PathBuf,
-    /// Pool sizing and watchdog knobs for each campaign.
-    pub pool: PoolConfig,
-    /// The worker binary to re-exec for pool slots.
-    pub worker_program: PathBuf,
-    /// Arguments for the worker binary.
-    pub worker_args: Vec<String>,
+    /// The pool every campaign runs on.
+    pub pool: WorkerPool,
     /// Validates manifest jobs at submit time.
     pub validator: JobValidator,
-    /// The in-process degraded runner, if the host provides one.
-    pub fallback: Option<FallbackRunner>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,23 +118,21 @@ impl Shared {
     }
 
     /// Mutates the state, bumps the change sequence, and wakes waiters.
-    fn publish(&self, f: impl FnOnce(&mut Inner)) {
+    fn publish<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
         let mut inner = self.lock();
-        f(&mut inner);
+        let out = f(&mut inner);
         inner.seq += 1;
         drop(inner);
         self.cond.notify_all();
+        out
     }
 }
 
 struct Ctx {
     shared: Shared,
     store: Store,
-    pool: PoolConfig,
-    worker_program: PathBuf,
-    worker_args: Vec<String>,
+    pool: WorkerPool,
     validator: JobValidator,
-    fallback: Option<FallbackRunner>,
 }
 
 /// Takes the exclusive lock on `<store>/lock` and writes this process's
@@ -200,10 +191,7 @@ pub fn run_daemon(config: DaemonConfig) -> Result<(), String> {
         },
         store,
         pool: config.pool,
-        worker_program: config.worker_program,
-        worker_args: config.worker_args,
         validator: config.validator,
-        fallback: config.fallback,
     });
 
     let (finished, queued) = resume_store(&ctx)?;
@@ -277,7 +265,9 @@ fn resume_store(ctx: &Ctx) -> Result<(usize, usize), String> {
             );
             continue;
         }
-        let expanded = match expand_jobs(&manifest.jobs) {
+        let (expanded, todo) = match expand_jobs(&manifest.jobs)
+            .and_then(|expanded| pending_jobs(&expanded, &c.verdicts).map(|todo| (expanded, todo)))
+        {
             Ok(jobs) => jobs,
             Err(e) => {
                 eprintln!("daemon: store: skipping {origin}: {e}");
@@ -285,7 +275,7 @@ fn resume_store(ctx: &Ctx) -> Result<(usize, usize), String> {
             }
         };
         let campaign = Campaign {
-            phase: if c.cancelled || c.verdicts.len() == expanded.len() {
+            phase: if c.cancelled || todo.is_empty() {
                 Phase::Done
             } else {
                 Phase::Queued
@@ -330,83 +320,38 @@ fn runner_loop(ctx: &Arc<Ctx>) {
 }
 
 fn run_campaign(ctx: &Arc<Ctx>, digest: u64) {
-    let (todo, stop) = {
-        let mut inner = ctx.shared.lock();
-        let Some(c) = inner.campaigns.get_mut(&digest) else {
-            return;
-        };
+    let Some((expanded, resumed, stop)) = ctx.shared.publish(|inner| {
+        let c = inner.campaigns.get_mut(&digest)?;
         c.phase = Phase::Running;
-        let decided: HashSet<String> = c.verdicts.iter().map(|v| v.id.clone()).collect();
-        let todo: Vec<JobSpec> = c
-            .expanded
-            .iter()
-            .filter(|j| !decided.contains(&j.id))
-            .cloned()
-            .collect();
-        let stop = Arc::clone(&c.stop);
-        inner.seq += 1;
-        drop(inner);
-        ctx.shared.cond.notify_all();
-        (todo, stop)
+        Some((c.expanded.clone(), c.verdicts.clone(), Arc::clone(&c.stop)))
+    }) else {
+        return;
     };
 
-    let mut journal = JournalWriter::new(ctx.store.journal_path(digest));
-    let mut record = |verdict: Verdict| {
-        let mut inner = ctx.shared.lock();
-        let Some(c) = inner.campaigns.get_mut(&digest) else {
-            return;
-        };
-        c.verdicts.push(verdict);
-        let snapshot = c.verdicts.clone();
-        inner.seq += 1;
-        drop(inner);
-        ctx.shared.cond.notify_all();
-        // Journal outside the lock: a slow disk must not stall watchers.
-        journal.write(&journal_doc(digest, &snapshot));
-    };
-
-    if !todo.is_empty() && !stop.load(Ordering::Acquire) {
-        let factory =
-            ProcessWorkerFactory::new(ctx.worker_program.clone(), ctx.worker_args.clone());
-        let report = Supervisor::new(factory, ctx.pool.clone())
-            .with_stop_flag(Arc::clone(&stop))
-            .run(todo, |v| record(Verdict::from_pool(v)));
-        for w in &report.warnings {
-            eprintln!("daemon: campaign {}: {w}", digest_hex(digest));
-        }
-        if !report.stopped && !report.leftover.is_empty() {
-            match ctx.fallback {
-                Some(run_job) => {
-                    eprintln!(
-                        "daemon: campaign {}: no workers available; running {} jobs in-process",
-                        digest_hex(digest),
-                        report.leftover.len()
-                    );
-                    for job in &report.leftover {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let outcome = match run_job(&job.payload) {
-                            Ok(payload) => VerdictOutcome::Done { payload },
-                            Err(e) => VerdictOutcome::Quarantined { failures: vec![e] },
-                        };
-                        record(Verdict {
-                            id: job.id.clone(),
-                            attempts: 1,
-                            outcome,
-                        });
-                    }
+    // Watchers see each verdict before the driver journals it: a slow
+    // disk must not stall them.
+    let run = run_jobs(
+        &ctx.pool,
+        digest,
+        &expanded,
+        resumed,
+        Some(ctx.store.journal_path(digest)),
+        &stop,
+        |verdicts| {
+            ctx.shared.publish(|inner| {
+                if let (Some(c), Some(v)) = (inner.campaigns.get_mut(&digest), verdicts.last()) {
+                    c.verdicts.push(v.clone());
                 }
-                None => eprintln!(
-                    "daemon: campaign {}: no workers available and no in-process fallback; \
-                     {} jobs left undecided",
-                    digest_hex(digest),
-                    report.leftover.len()
-                ),
-            }
-        }
-    }
-    for w in journal.warnings() {
+            });
+        },
+    );
+    // Startup and submit both checked the verdicts, so an error here
+    // means the in-memory state is broken; the campaign stays undecided.
+    let warnings = match run {
+        Ok(run) => run.warnings,
+        Err(e) => vec![e],
+    };
+    for w in warnings {
         eprintln!("daemon: campaign {}: {w}", digest_hex(digest));
     }
 
@@ -539,24 +484,18 @@ fn do_submit(ctx: &Arc<Ctx>, doc: &Json) -> Json {
     ])
 }
 
-/// One campaign's status object (shard-level counts).
+/// One campaign's status object: its id and state, then the shard-level
+/// counts of [`status_doc`].
 fn status_json(digest: u64, c: &Campaign) -> Json {
-    let done = c
-        .verdicts
-        .iter()
-        .filter(|v| matches!(v.outcome, VerdictOutcome::Done { .. }))
-        .count();
-    Json::object([
-        ("campaign", Json::Str(digest_hex(digest))),
-        ("state", Json::Str(c.state_str().to_string())),
-        ("total", Json::UInt(c.expanded.len() as u64)),
-        ("done", Json::UInt(done as u64)),
-        ("quarantined", Json::UInt((c.verdicts.len() - done) as u64)),
-        (
-            "pending",
-            Json::UInt((c.expanded.len() - c.verdicts.len()) as u64),
-        ),
-    ])
+    let Json::Object(counts) = status_doc(&c.verdicts, c.expanded.len()) else {
+        unreachable!("status_doc builds an object");
+    };
+    let mut fields = vec![
+        ("campaign".to_string(), Json::Str(digest_hex(digest))),
+        ("state".to_string(), Json::Str(c.state_str().to_string())),
+    ];
+    fields.extend(counts);
+    Json::Object(fields)
 }
 
 fn do_status(ctx: &Arc<Ctx>, campaign: Option<u64>) -> Json {

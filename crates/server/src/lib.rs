@@ -13,8 +13,9 @@
 //!
 //! - [`protocol`] — the line-delimited JSON wire format and its
 //!   versioning rule.
-//! - [`campaign`] — manifests, verdicts, journals, and the
-//!   deterministic report renderer shared with `fair-chess serve`.
+//! - [`campaign`] — manifests, verdicts, journals, the deterministic
+//!   report renderer, and [`campaign::run_jobs`], the one campaign
+//!   driver under both `fair-chess serve` and the daemon.
 //! - [`shard`] — splitting a check job into `{id}#0..{id}#{K-1}` shard
 //!   jobs and merging the shard reports back into exactly the report
 //!   the unsharded run would print.
@@ -35,11 +36,11 @@ pub mod shard;
 pub mod store;
 
 pub use campaign::{
-    load_manifest, parse_manifest, render_report, JobResult, JobValidator, Manifest, Verdict,
-    VerdictOutcome, CAMPAIGN_JOURNAL_VERSION,
+    load_manifest, parse_manifest, render_report, run_jobs, CampaignRun, JobResult, JobValidator,
+    Manifest, Verdict, VerdictOutcome, WorkerPool, CAMPAIGN_JOURNAL_VERSION,
 };
 pub use client::{expect_ok, Client};
-pub use daemon::{run_daemon, DaemonConfig, FallbackRunner};
+pub use daemon::{run_daemon, DaemonConfig};
 pub use net::Listen;
 pub use protocol::{Request, PROTOCOL_VERSION};
 pub use shard::{expand_jobs, merge_verdicts};

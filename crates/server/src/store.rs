@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use chess_bench::{read_journal, write_atomic, Json};
 
-use crate::campaign::{journal_doc, parse_journal_doc, Verdict};
+use crate::campaign::{parse_journal_doc, Verdict};
 
 /// A campaign store rooted at a directory.
 #[derive(Debug, Clone)]
@@ -100,20 +100,6 @@ impl Store {
         let dir = self.campaign_dir(digest);
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         write_atomic(&dir.join("manifest.json"), manifest_text)
-    }
-
-    /// Atomically rewrites a campaign's journal with the given verdicts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (callers on the hot path should prefer a
-    /// [`chess_bench::JournalWriter`] on [`Store::journal_path`], which
-    /// retries and degrades instead of failing the campaign).
-    pub fn write_journal(&self, digest: u64, verdicts: &[Verdict]) -> Result<(), String> {
-        write_atomic(
-            &self.journal_path(digest),
-            &journal_doc(digest, verdicts).to_string_pretty(),
-        )
     }
 
     /// Marks a campaign cancelled: the startup scan will not resume it.
@@ -195,7 +181,7 @@ pub fn parse_manifest_text(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::VerdictOutcome;
+    use crate::campaign::{journal_doc, VerdictOutcome};
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("chess-store-{tag}-{}", std::process::id()));
@@ -228,7 +214,8 @@ mod tests {
                 payload: "{\"code\": 0, \"line\": \"ok\"}".to_string(),
             },
         }];
-        store.write_journal(7, &verdicts).unwrap();
+        let journal = journal_doc(7, &verdicts).to_string_pretty();
+        write_atomic(&store.journal_path(7), &journal).unwrap();
         store.admit(9, "{\"jobs\": [1]}").unwrap();
         store.mark_cancelled(9).unwrap();
 

@@ -17,7 +17,7 @@ use chess_bench::Json;
 use chess_core::procpool::PoolConfig;
 use chess_core::{SearchOutcome, SearchReport, SearchStats};
 use chess_server::daemon::{run_daemon, DaemonConfig};
-use chess_server::{expect_ok, Client, JobResult, Listen, Request};
+use chess_server::{expect_ok, Client, JobResult, Listen, Request, WorkerPool};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("chess-daemon-{tag}-{}", std::process::id()));
@@ -58,16 +58,18 @@ fn start_daemon(listen: &Listen, store: &Path) -> std::thread::JoinHandle<()> {
     let config = DaemonConfig {
         listen: listen.clone(),
         store_dir: store.to_path_buf(),
-        pool: PoolConfig {
-            workers: 2,
-            heartbeat_timeout: Duration::from_millis(200),
-            max_attempts: 2,
-            ..PoolConfig::default()
+        pool: WorkerPool {
+            config: PoolConfig {
+                workers: 2,
+                heartbeat_timeout: Duration::from_millis(200),
+                max_attempts: 2,
+                ..PoolConfig::default()
+            },
+            program: PathBuf::from("/nonexistent/fair-chess-worker"),
+            args: Vec::new(),
+            in_process: fake_runner,
         },
-        worker_program: PathBuf::from("/nonexistent/fair-chess-worker"),
-        worker_args: Vec::new(),
         validator: accept_all,
-        fallback: Some(fake_runner),
     };
     std::thread::spawn(move || run_daemon(config).expect("daemon failed"))
 }

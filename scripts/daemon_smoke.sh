@@ -2,7 +2,7 @@
 # Daemon smoke for the campaign daemon: socket front-end, persistent
 # store, sharded check jobs, and crash recovery.
 #
-# Five acts, all against the same store directory:
+# Six acts; the first five against the same store directory:
 #
 #   1. Baseline: a `serve` run of the unsharded manifest; its report
 #      (wall-clock free) is the reference output.
@@ -16,6 +16,10 @@
 #      report must be byte-identical to a clean serve of it.
 #   5. Chaos garbage: a client that leads with a garbage line must get a
 #      structured error and the daemon must keep serving.
+#   6. Degraded: with no worker spawnable (FAIR_CHESS_WORKER_BIN points
+#      nowhere), a second daemon on its own store runs the unsharded
+#      manifest in-process; its results must be byte-identical to a
+#      serve of that manifest under the same variable.
 #
 # Usage: scripts/daemon_smoke.sh  (FAIR_CHESS overrides the binary path)
 set -euo pipefail
@@ -146,4 +150,24 @@ expect_exit 0 "$BIN" shutdown --connect "$SOCK"
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
 
-echo "daemon smoke passed: sharded, cached, killed, and resumed campaigns all converge"
+echo "== degraded: no worker spawnable, daemon results equal serve's byte-for-byte"
+NO_WORKER=/nonexistent/fair-chess
+FAIR_CHESS_WORKER_BIN="$NO_WORKER" \
+  expect_exit 1 "$BIN" serve "$UNSHARDED" --workers 2 \
+  > "$WORKDIR/degraded-serve.out" 2> "$WORKDIR/degraded-serve.err"
+grep -q "in-process" "$WORKDIR/degraded-serve.err"
+SOCK="$WORKDIR/degraded.sock"
+STORE="$WORKDIR/degraded-store"
+FAIR_CHESS_WORKER_BIN="$NO_WORKER" start_daemon
+expect_exit 1 "$BIN" submit "$UNSHARDED" --connect "$SOCK" --watch \
+  > "$WORKDIR/degraded-submit.out" 2> /dev/null
+DEGRADED_CAMPAIGN="$(awk '/^campaign /{print $2}' "$WORKDIR/degraded-submit.out" | head -n 1 | tr -d ':')"
+[ -n "$DEGRADED_CAMPAIGN" ] || { echo "no campaign digest for degraded submit" >&2; exit 1; }
+expect_exit 1 "$BIN" results "$DEGRADED_CAMPAIGN" --connect "$SOCK" > "$WORKDIR/degraded-daemon.out"
+diff "$WORKDIR/degraded-serve.out" "$WORKDIR/degraded-daemon.out"
+expect_exit 0 "$BIN" shutdown --connect "$SOCK"
+wait "$DAEMON_PID" 2> /dev/null || true
+DAEMON_PID=""
+grep -q "in-process" "$WORKDIR/daemon.log"
+
+echo "daemon smoke passed: sharded, cached, killed, resumed, and degraded campaigns all converge"
